@@ -62,6 +62,7 @@ import (
 	"tnsr/internal/codefile"
 	"tnsr/internal/fleet"
 	"tnsr/internal/profsrv"
+	"tnsr/internal/svc"
 	"tnsr/internal/tcache"
 	"tnsr/internal/xlate"
 )
@@ -164,10 +165,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("tnsfleetd: %v", err)
 		}
-		cfg.InProc = profsrv.New(profsrv.Config{
-			Store: store, Token: *profToken,
-			RatePerSec: 200, RateBurst: 50,
-		})
+		cfg.InProc = profsrv.New(profsrv.Config{Store: store,
+			Limits: svc.Limits{Token: *profToken, RatePerSec: 200, RateBurst: 50}})
 		cfg.InProcToken = *profToken
 	case *profURL != "":
 		cfg.Source = profsrv.NewClient(*profURL, *profToken)

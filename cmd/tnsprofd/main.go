@@ -50,19 +50,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"tnsr/internal/profsrv"
 	"tnsr/internal/store"
+	"tnsr/internal/svc"
 )
 
 func main() {
@@ -123,50 +120,20 @@ func main() {
 
 	srv := profsrv.New(profsrv.Config{
 		Store:             st,
-		Token:             *token,
-		MaxBody:           *maxBody,
+		Limits:            svc.Limits{Token: *token, MaxBody: *maxBody, RatePerSec: *rate, RateBurst: *burst},
 		AgeEvery:          *ageEvery,
 		AgeFloor:          *ageFloor,
-		RatePerSec:        *rate,
-		RateBurst:         *burst,
 		Peers:             peerList,
 		PeerTimeout:       *peerTimeout,
 		PeerToken:         *peerToken,
 		PeerBreakAfter:    *breakAfter,
 		PeerBreakCooldown: *breakCooldown,
 	})
-
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
 	log.Printf("tnsprofd: serving profiles from %s on %s (auth %s, age every %d runs, %d peers)",
 		*dir, *addr, map[bool]string{true: "on", false: "off"}[*token != ""], *ageEvery, len(peerList))
-	errc := make(chan error, 1)
-	go func() {
-		if err := hs.ListenAndServe(); err != http.ErrServerClosed {
-			errc <- err
-		}
-	}()
-
 	// SIGTERM/SIGINT drains: refuse new uploads (503 + Retry-After; every
 	// accepted upload is already durably merged when its 200 goes out),
 	// keep serving reads, and close the listener once in-flight requests
 	// finish.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		log.Fatalf("tnsprofd: %v", err)
-	case s := <-sig:
-		log.Printf("tnsprofd: %v: draining (timeout %v)", s, *drainTimeout)
-	}
-	srv.SetDraining(true)
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		log.Printf("tnsprofd: listener shutdown: %v", err)
-	}
-	log.Printf("tnsprofd: drained")
+	svc.Run("tnsprofd", *addr, srv, *drainTimeout)
 }

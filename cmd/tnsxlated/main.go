@@ -24,8 +24,6 @@
 //	                     0 disables limiting)
 //	-burst b             rate-limiter burst size (default 100)
 //	-workers n           fragment translation workers (0 = all CPUs)
-//	-fifo                strict submission-order scheduling (benchmark
-//	                     baseline; production wants the default stealing)
 //	-drain-timeout d     bound on the SIGTERM/SIGINT graceful drain: refuse
 //	                     new submissions, finish in-flight translations
 //	                     into the store, then exit (default 30s)
@@ -44,17 +42,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"tnsr/internal/store"
+	"tnsr/internal/svc"
 	"tnsr/internal/tcache"
 	"tnsr/internal/xlate"
 )
@@ -69,7 +64,6 @@ func main() {
 	rate := flag.Float64("rate", 50, "sustained requests/second per client (0 = unlimited)")
 	burst := flag.Int("burst", 100, "rate-limiter burst")
 	workers := flag.Int("workers", 0, "fragment translation workers (0 = all CPUs)")
-	fifo := flag.Bool("fifo", false, "strict submission-order scheduling (benchmark baseline)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound on SIGTERM/SIGINT")
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -96,53 +90,19 @@ func main() {
 	}
 
 	srv := xlate.New(xlate.Config{
-		Cache:      cache,
-		Token:      *token,
-		MaxBody:    *maxBody,
-		RatePerSec: *rate,
-		RateBurst:  *burst,
-		Workers:    *workers,
-		FIFO:       *fifo,
+		Cache:   cache,
+		Limits:  svc.Limits{Token: *token, MaxBody: *maxBody, RatePerSec: *rate, RateBurst: *burst},
+		Workers: *workers,
 	})
 	if n := srv.Swept(); n > 0 {
 		log.Printf("tnsxlated: startup sweep reclaimed %d torn write temporaries", n)
 	}
-
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	log.Printf("tnsxlated: serving translations from %s on %s (auth %s, %s scheduling)",
-		*dir, *addr, map[bool]string{true: "on", false: "off"}[*token != ""],
-		map[bool]string{true: "fifo", false: "work-stealing"}[*fifo])
-	errc := make(chan error, 1)
-	go func() {
-		if err := hs.ListenAndServe(); err != http.ErrServerClosed {
-			errc <- err
-		}
-	}()
-
+	log.Printf("tnsxlated: serving translations from %s on %s (auth %s)",
+		*dir, *addr, map[bool]string{true: "on", false: "off"}[*token != ""])
 	// SIGTERM/SIGINT drains: refuse new submissions (503 + Retry-After),
 	// finish in-flight translations into the store, then close the
 	// listener. A client mid-poll either fetches its completed result
 	// before the listener goes, or re-submits to the restarted daemon and
 	// the content-addressed key dedups the replay.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		log.Fatalf("tnsxlated: %v", err)
-	case s := <-sig:
-		log.Printf("tnsxlated: %v: draining (timeout %v)", s, *drainTimeout)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("tnsxlated: drain incomplete: %v", err)
-	}
-	if err := hs.Shutdown(ctx); err != nil {
-		log.Printf("tnsxlated: listener shutdown: %v", err)
-	}
-	log.Printf("tnsxlated: drained")
+	svc.Run("tnsxlated", *addr, srv, *drainTimeout)
 }

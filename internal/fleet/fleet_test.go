@@ -8,6 +8,7 @@ import (
 	"tnsr/internal/obs"
 	"tnsr/internal/pgo"
 	"tnsr/internal/profsrv"
+	"tnsr/internal/svc"
 )
 
 // TestFleetSmall runs a small standard fleet end to end: everything
@@ -142,10 +143,8 @@ func TestFleetPGORounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := profsrv.New(profsrv.Config{
-		Store: store, Token: "fleet-secret",
-		RatePerSec: 1000, RateBurst: 100,
-	})
+	srv := profsrv.New(profsrv.Config{Store: store,
+		Limits: svc.Limits{Token: "fleet-secret", RatePerSec: 1000, RateBurst: 100}})
 	fr, err := Run(Config{
 		Machines: 12, Rounds: 2, Seed: 9,
 		InProc: srv, InProcToken: "fleet-secret",

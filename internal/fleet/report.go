@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"tnsr/internal/obs"
 )
@@ -191,58 +190,43 @@ func (fr *FleetReport) WritePrometheus(w io.Writer) {
 	if rr == nil {
 		return
 	}
-	obs.PromHeader(w, "tnsr_fleet_info", "gauge", "Fleet identity (constant 1).")
-	fmt.Fprintf(w, "tnsr_fleet_info{workload=%q,level=%q} 1\n",
-		obs.PromEscape(fr.Workload), obs.PromEscape(fr.Level))
+	p := obs.NewProm(w)
+	p.Family("tnsr_fleet_info", "gauge", "Fleet identity (constant 1).")
+	p.Sample(1, "workload", fr.Workload, "level", fr.Level)
 
-	obs.PromHeader(w, "tnsr_fleet_machines", "gauge", "Machines by end-of-round state.")
+	p.Family("tnsr_fleet_machines", "gauge", "Machines by end-of-round state.")
 	ms := rr.MachineStates
-	fmt.Fprintf(w, "tnsr_fleet_machines{state=\"serving\"} %d\n", ms.Serving)
-	fmt.Fprintf(w, "tnsr_fleet_machines{state=\"degraded\"} %d\n", ms.Degraded)
-	fmt.Fprintf(w, "tnsr_fleet_machines{state=\"failed\"} %d\n", ms.Failed)
+	p.Sample(ms.Serving, "state", "serving")
+	p.Sample(ms.Degraded, "state", "degraded")
+	p.Sample(ms.Failed, "state", "failed")
 
-	obs.PromHeader(w, "tnsr_fleet_round", "gauge", "Completed fleet rounds.")
-	fmt.Fprintf(w, "tnsr_fleet_round %d\n", rr.Round)
+	p.Gauge("tnsr_fleet_round", "Completed fleet rounds.", rr.Round)
+	p.Counter("tnsr_fleet_txns_total", "Transactions served in the final round.", rr.Txns)
+	p.Gauge("tnsr_fleet_throughput_tps", "Aggregate fleet throughput, transactions per simulated second.", rr.ThroughputTPS)
 
-	obs.PromHeader(w, "tnsr_fleet_txns_total", "counter", "Transactions served in the final round.")
-	fmt.Fprintf(w, "tnsr_fleet_txns_total %d\n", rr.Txns)
-
-	obs.PromHeader(w, "tnsr_fleet_throughput_tps", "gauge", "Aggregate fleet throughput, transactions per simulated second.")
-	fmt.Fprintf(w, "tnsr_fleet_throughput_tps %g\n", rr.ThroughputTPS)
-
-	obs.PromHeader(w, "tnsr_fleet_latency_seconds", "gauge", "Per-transaction latency quantiles, simulated seconds.")
+	p.Family("tnsr_fleet_latency_seconds", "gauge", "Per-transaction latency quantiles, simulated seconds.")
 	l := rr.Latency
-	fmt.Fprintf(w, "tnsr_fleet_latency_seconds{quantile=\"0.5\"} %g\n", l.P50Ms/1e3)
-	fmt.Fprintf(w, "tnsr_fleet_latency_seconds{quantile=\"0.95\"} %g\n", l.P95Ms/1e3)
-	fmt.Fprintf(w, "tnsr_fleet_latency_seconds{quantile=\"0.99\"} %g\n", l.P99Ms/1e3)
-	obs.PromHeader(w, "tnsr_fleet_latency_seconds_max", "gauge", "Worst per-transaction latency, simulated seconds.")
-	fmt.Fprintf(w, "tnsr_fleet_latency_seconds_max %g\n", l.MaxMs/1e3)
+	p.Sample(l.P50Ms/1e3, "quantile", "0.5")
+	p.Sample(l.P95Ms/1e3, "quantile", "0.95")
+	p.Sample(l.P99Ms/1e3, "quantile", "0.99")
+	p.Gauge("tnsr_fleet_latency_seconds_max", "Worst per-transaction latency, simulated seconds.", l.MaxMs/1e3)
 
-	obs.PromHeader(w, "tnsr_fleet_interp_fraction", "gauge", "Fleet-wide fraction of cycles spent in interpreter mode.")
-	fmt.Fprintf(w, "tnsr_fleet_interp_fraction %g\n", rr.Obs.Modes.InterpFraction)
+	p.Gauge("tnsr_fleet_interp_fraction", "Fleet-wide fraction of cycles spent in interpreter mode.", rr.Obs.Modes.InterpFraction)
 
-	obs.PromHeader(w, "tnsr_fleet_escapes_total", "counter", "Fleet-wide escapes from translated code by reason.")
+	p.Family("tnsr_fleet_escapes_total", "counter", "Fleet-wide escapes from translated code by reason.")
 	counts := map[string]int64{}
 	for _, e := range rr.Obs.Escapes {
 		counts[e.Reason] = e.Count
 	}
 	for r := obs.EscapeReason(0); r < obs.NumEscapeReasons; r++ {
 		name := r.String()
-		fmt.Fprintf(w, "tnsr_fleet_escapes_total{reason=%q} %d\n", name, counts[name])
+		p.Sample(counts[name], "reason", name)
 		delete(counts, name)
 	}
 	// Out-of-enum names survive merges; expose them too, in stable order.
-	extra := make([]string, 0, len(counts))
-	for name := range counts {
-		extra = append(extra, name)
-	}
-	sort.Strings(extra)
-	for _, name := range extra {
-		fmt.Fprintf(w, "tnsr_fleet_escapes_total{reason=%q} %d\n", obs.PromEscape(name), counts[name])
-	}
+	p.Sorted("reason", counts)
 
-	obs.PromHeader(w, "tnsr_fleet_push_errors_total", "counter", "Profile pushes that failed in the final round.")
-	fmt.Fprintf(w, "tnsr_fleet_push_errors_total %d\n", rr.PushErrs)
+	p.Counter("tnsr_fleet_push_errors_total", "Profile pushes that failed in the final round.", rr.PushErrs)
 
 	if sb := rr.SourceBreaker; sb != nil {
 		state := 0
@@ -252,14 +236,11 @@ func (fr *FleetReport) WritePrometheus(w io.Writer) {
 		case "half-open":
 			state = 2
 		}
-		obs.PromHeader(w, "tnsr_fleet_source_breaker_state", "gauge",
-			"Profile-source circuit breaker state (0 closed, 1 open, 2 half-open).")
-		fmt.Fprintf(w, "tnsr_fleet_source_breaker_state %d\n", state)
-		obs.PromHeader(w, "tnsr_fleet_source_breaker_opens_total", "counter",
-			"Times the profile-source breaker tripped open.")
-		fmt.Fprintf(w, "tnsr_fleet_source_breaker_opens_total %d\n", sb.Opens)
-		obs.PromHeader(w, "tnsr_fleet_source_fastfails_total", "counter",
-			"Profile-source calls refused by an open breaker.")
-		fmt.Fprintf(w, "tnsr_fleet_source_fastfails_total %d\n", sb.FastFails)
+		p.Gauge("tnsr_fleet_source_breaker_state",
+			"Profile-source circuit breaker state (0 closed, 1 open, 2 half-open).", state)
+		p.Counter("tnsr_fleet_source_breaker_opens_total",
+			"Times the profile-source breaker tripped open.", sb.Opens)
+		p.Counter("tnsr_fleet_source_fastfails_total",
+			"Profile-source calls refused by an open breaker.", sb.FastFails)
 	}
 }

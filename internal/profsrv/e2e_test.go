@@ -16,6 +16,7 @@ import (
 	"tnsr/internal/obs"
 	"tnsr/internal/pgo"
 	"tnsr/internal/profsrv"
+	"tnsr/internal/svc"
 	"tnsr/internal/tcache"
 	"tnsr/internal/xrun"
 )
@@ -29,7 +30,7 @@ func newFleet(t testing.TB, mutate func(*profsrv.Config)) (*httptest.Server, *pr
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := profsrv.Config{Store: store, Token: "fleet-token"}
+	cfg := profsrv.Config{Store: store, Limits: svc.Limits{Token: "fleet-token"}}
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"tnsr/internal/pgo"
+	"tnsr/internal/svc"
 )
 
 // fuzzSeeds are the deliberate corpus entries, each aimed at one gate of
@@ -68,7 +69,7 @@ func FuzzProfsrvHandler(f *testing.F) {
 		// Auth off so the fuzzer reaches the deep handlers; MaxBody small so
 		// it can trip the size gate with feasible inputs; AgeEvery tiny so
 		// the aging path runs.
-		srv := New(Config{Store: store, MaxBody: 4096, AgeEvery: 2})
+		srv := New(Config{Store: store, Limits: svc.Limits{MaxBody: 4096}, AgeEvery: 2})
 
 		req, err := http.NewRequest(method, "http://tnsprofd"+path, bytes.NewReader(body))
 		if err != nil {

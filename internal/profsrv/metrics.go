@@ -1,183 +1,64 @@
 package profsrv
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
+	"errors"
 
 	"tnsr/internal/obs"
 	"tnsr/internal/retry"
 )
 
-// reqKey labels one requests_total series.
-type reqKey struct {
-	method string
-	code   int
+// countPeer bumps one peer's entry in a per-peer counter map.
+func (s *Server) countPeer(m map[string]int64, peer string) {
+	s.peerMu.Lock()
+	m[peer]++
+	s.peerMu.Unlock()
 }
 
-// metrics is the server's Prometheus state: plain counters under one lock
-// (request handling already serializes per fingerprint; the metrics lock
-// is never held across I/O). The exposition goes through the same
-// obs.PromHeader conventions every other tnsr exporter uses.
-type metrics struct {
-	mu       sync.Mutex
-	requests map[reqKey]int64
-	rejects  map[string]int64 // typed reason -> count
-	uploads  int64            // accepted merges
-	served   int64            // aggregates served
-	ages     int64            // aging events applied
-
-	peerMerges    int64            // multi-node merges served
-	peerErrs      map[string]int64 // peer URL -> degraded fetches
-	peerFastFails map[string]int64 // peer URL -> merges skipped by an open breaker
-}
-
-// peerBreakerView is one peer's breaker snapshot, taken by the caller so
-// the metrics lock never nests with the breakers'.
-type peerBreakerView struct {
-	peer   string
-	counts retry.BreakerCounts
-}
-
-func newMetrics() *metrics {
-	return &metrics{
-		requests:      map[reqKey]int64{},
-		rejects:       map[string]int64{},
-		peerErrs:      map[string]int64{},
-		peerFastFails: map[string]int64{},
+// writeMetrics renders the server's families after the chassis's requests
+// and rejects. The peer breakers are snapshotted under their own lock, so
+// no two locks nest.
+func (s *Server) writeMetrics(p *obs.Prom) error {
+	stored, err := s.cfg.Store.List()
+	if err != nil {
+		return errors.New("store unreadable")
 	}
-}
-
-func (m *metrics) peerError(peer string) {
-	m.mu.Lock()
-	m.peerErrs[peer]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) peerFastFail(peer string) {
-	m.mu.Lock()
-	m.peerFastFails[peer]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) request(method string, code int) {
-	m.mu.Lock()
-	m.requests[reqKey{method, code}]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) reject(reason string) {
-	m.mu.Lock()
-	m.rejects[reason]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) add(counter *int64) {
-	m.mu.Lock()
-	*counter++
-	m.mu.Unlock()
-}
-
-// write renders the exposition. stored is the current aggregate count and
-// breakers the peer-breaker snapshots (both gathered by the caller so the
-// lock stays I/O-free and never nests with another).
-func (m *metrics) write(w io.Writer, stored int, breakers []peerBreakerView, draining bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	obs.PromHeader(w, "tnsr_profsrv_requests_total", "counter",
-		"Requests handled, by method and status code.")
-	keys := make([]reqKey, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].method != keys[j].method {
-			return keys[i].method < keys[j].method
-		}
-		return keys[i].code < keys[j].code
-	})
-	for _, k := range keys {
-		fmt.Fprintf(w, "tnsr_profsrv_requests_total{method=%q,code=\"%d\"} %d\n",
-			obs.PromEscape(k.method), k.code, m.requests[k])
+	breakers := make([]retry.BreakerCounts, len(s.cfg.Peers))
+	for i, peer := range s.cfg.Peers {
+		breakers[i] = s.breakerFor(peer).Counts()
 	}
 
-	obs.PromHeader(w, "tnsr_profsrv_rejects_total", "counter",
-		"Rejected requests, by typed reason.")
-	rkeys := make([]string, 0, len(m.rejects))
-	for k := range m.rejects {
-		rkeys = append(rkeys, k)
-	}
-	sort.Strings(rkeys)
-	for _, k := range rkeys {
-		fmt.Fprintf(w, "tnsr_profsrv_rejects_total{reason=%q} %d\n",
-			obs.PromEscape(k), m.rejects[k])
-	}
+	p.Counter("tnsr_profsrv_uploads_total", "Profiles accepted and merged into an aggregate.", s.uploads.Load())
+	p.Counter("tnsr_profsrv_served_total", "Aggregates served to translators.", s.served.Load())
+	p.Counter("tnsr_profsrv_age_events_total", "Cross-run aging passes applied to an aggregate.", s.ages.Load())
+	p.Counter("tnsr_profsrv_peer_merges_total",
+		"Multi-node aggregates served (local + peer merge).", s.peerMerges.Load())
 
-	obs.PromHeader(w, "tnsr_profsrv_uploads_total", "counter",
-		"Profiles accepted and merged into an aggregate.")
-	fmt.Fprintf(w, "tnsr_profsrv_uploads_total %d\n", m.uploads)
-
-	obs.PromHeader(w, "tnsr_profsrv_served_total", "counter",
-		"Aggregates served to translators.")
-	fmt.Fprintf(w, "tnsr_profsrv_served_total %d\n", m.served)
-
-	obs.PromHeader(w, "tnsr_profsrv_age_events_total", "counter",
-		"Cross-run aging passes applied to an aggregate.")
-	fmt.Fprintf(w, "tnsr_profsrv_age_events_total %d\n", m.ages)
-
-	obs.PromHeader(w, "tnsr_profsrv_peer_merges_total", "counter",
-		"Multi-node aggregates served (local + peer merge).")
-	fmt.Fprintf(w, "tnsr_profsrv_peer_merges_total %d\n", m.peerMerges)
-
-	obs.PromHeader(w, "tnsr_profsrv_peer_errors_total", "counter",
+	s.peerMu.Lock()
+	p.Family("tnsr_profsrv_peer_errors_total", "counter",
 		"Peer aggregate fetches that failed and were degraded out of the answer, by peer.")
-	pkeys := make([]string, 0, len(m.peerErrs))
-	for k := range m.peerErrs {
-		pkeys = append(pkeys, k)
-	}
-	sort.Strings(pkeys)
-	for _, k := range pkeys {
-		fmt.Fprintf(w, "tnsr_profsrv_peer_errors_total{peer=%q} %d\n",
-			obs.PromEscape(k), m.peerErrs[k])
-	}
-
-	obs.PromHeader(w, "tnsr_profsrv_peer_fastfails_total", "counter",
+	p.Sorted("peer", s.peerErrs)
+	p.Family("tnsr_profsrv_peer_fastfails_total", "counter",
 		"Peer merges skipped because the peer's circuit breaker was open, by peer.")
-	fkeys := make([]string, 0, len(m.peerFastFails))
-	for k := range m.peerFastFails {
-		fkeys = append(fkeys, k)
-	}
-	sort.Strings(fkeys)
-	for _, k := range fkeys {
-		fmt.Fprintf(w, "tnsr_profsrv_peer_fastfails_total{peer=%q} %d\n",
-			obs.PromEscape(k), m.peerFastFails[k])
-	}
+	p.Sorted("peer", s.peerFastFails)
+	s.peerMu.Unlock()
 
-	obs.PromHeader(w, "tnsr_profsrv_peer_breaker_state", "gauge",
+	p.Family("tnsr_profsrv_peer_breaker_state", "gauge",
 		"Peer circuit breaker state (0 closed, 1 open, 2 half-open), by peer.")
-	for _, v := range breakers {
-		fmt.Fprintf(w, "tnsr_profsrv_peer_breaker_state{peer=%q} %d\n",
-			obs.PromEscape(v.peer), int(v.counts.State))
+	for i, peer := range s.cfg.Peers {
+		p.Sample(int(breakers[i].State), "peer", peer)
 	}
-
-	obs.PromHeader(w, "tnsr_profsrv_peer_breaker_opens_total", "counter",
+	p.Family("tnsr_profsrv_peer_breaker_opens_total", "counter",
 		"Times a peer's circuit breaker tripped open, by peer.")
-	for _, v := range breakers {
-		fmt.Fprintf(w, "tnsr_profsrv_peer_breaker_opens_total{peer=%q} %d\n",
-			obs.PromEscape(v.peer), v.counts.Opens)
+	for i, peer := range s.cfg.Peers {
+		p.Sample(breakers[i].Opens, "peer", peer)
 	}
 
-	obs.PromHeader(w, "tnsr_profsrv_stored_profiles", "gauge",
-		"Aggregates currently stored, one per codefile fingerprint.")
-	fmt.Fprintf(w, "tnsr_profsrv_stored_profiles %d\n", stored)
-
-	obs.PromHeader(w, "tnsr_profsrv_draining", "gauge",
-		"1 while the server refuses new uploads ahead of shutdown.")
+	p.Gauge("tnsr_profsrv_stored_profiles",
+		"Aggregates currently stored, one per codefile fingerprint.", len(stored))
 	d := 0
-	if draining {
+	if s.Draining() {
 		d = 1
 	}
-	fmt.Fprintf(w, "tnsr_profsrv_draining %d\n", d)
+	p.Gauge("tnsr_profsrv_draining", "1 while the server refuses new uploads ahead of shutdown.", d)
+	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"tnsr/internal/pgo"
+	"tnsr/internal/svc"
 )
 
 const testFP = "00000000deadbeef"
@@ -404,16 +405,13 @@ func TestRateLimitPerClientIsolation(t *testing.T) {
 func TestRateLimitBucketTableBounded(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.RatePerSec = 0.0001; c.RateBurst = 1 })
 	path := profilesPrefix + testFP
-	for i := 0; i < maxBuckets+100; i++ {
+	for i := 0; i < svc.MaxClients+100; i++ {
 		addr := fmt.Sprintf("10.%d.%d.%d:1", i>>16&0xFF, i>>8&0xFF, i&0xFF)
 		if w := doFrom(s, addr, http.MethodGet, path, "", nil); w.Code != 404 {
 			t.Fatalf("fresh client %d: code %d, want 404", i, w.Code)
 		}
 	}
-	s.bucketMu.Lock()
-	n := len(s.buckets)
-	s.bucketMu.Unlock()
-	if n > maxBuckets {
-		t.Fatalf("bucket table grew to %d entries (cap %d)", n, maxBuckets)
+	if n := s.c.Clients(); n > svc.MaxClients {
+		t.Fatalf("bucket table grew to %d entries (cap %d)", n, svc.MaxClients)
 	}
 }

@@ -204,9 +204,7 @@ func TestClientResubmitsLostResult(t *testing.T) {
 		t.Error("recovered translation not byte-identical to local")
 	}
 
-	s.m.mu.Lock()
-	subs := s.m.submissions
-	s.m.mu.Unlock()
+	subs := s.submissions.Load()
 	if subs < 2 {
 		t.Errorf("submissions %d, want >= 2 (the re-submission)", subs)
 	}

@@ -1,162 +1,42 @@
 package xlate
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
+import "tnsr/internal/obs"
 
-	"tnsr/internal/obs"
-	"tnsr/internal/tcache"
-)
+// writeMetrics renders the server's families after the chassis's requests
+// and rejects. Queue and cache state are snapshotted by their own locks.
+func (s *Server) writeMetrics(p *obs.Prom) error {
+	qs, cs := s.q.Stats(), s.cfg.Cache.Stats()
+	storeBytes, storeEntries := s.cfg.Cache.SizeBytes()
 
-// reqKey labels one requests_total series.
-type reqKey struct {
-	method string
-	code   int
-}
+	p.Counter("tnsr_xlated_submissions_total", "Codefile submissions accepted.", s.submissions.Load())
+	p.Counter("tnsr_xlated_cached_submissions_total",
+		"Submissions answered entirely from the content-addressed store.", s.cachedSubs.Load())
+	p.Family("tnsr_xlated_translations_total", "counter", "Queued translations finished, by result.")
+	p.Sample(s.done.Load(), "result", "done")
+	p.Sample(s.failed.Load(), "result", "failed")
+	p.Counter("tnsr_xlated_served_total",
+		"Accelerated codefiles served (every byte re-verified on the way out).", s.served.Load())
 
-// metrics is the daemon's Prometheus state, following the same
-// plain-counters-under-one-lock conventions as profsrv (the lock is never
-// held across I/O; queue and cache counters are snapshotted by the caller).
-type metrics struct {
-	mu          sync.Mutex
-	requests    map[reqKey]int64
-	rejects     map[string]int64 // typed reason -> count
-	submissions int64            // accepted submits
-	cachedSubs  int64            // submits answered entirely from the store
-	done        int64            // translations completed
-	failed      int64            // translations failed
-	served      int64            // accelerated codefiles served (GET 200)
-	swept       int64            // torn write temporaries reclaimed at startup
-}
+	p.Gauge("tnsr_xlated_queue_tasks", "Translations currently queued or running.", qs.Tasks)
+	p.Gauge("tnsr_xlated_queue_depth", "Fragment jobs enqueued and not yet claimed by a worker.", qs.Frags)
+	p.Counter("tnsr_xlated_queue_steals_total",
+		"Fragment claims by an idle worker from another submission's task.", qs.Steals)
+	p.Counter("tnsr_xlated_queue_frags_total", "Fragment jobs executed by the shared pool.", qs.Executed)
 
-func newMetrics() *metrics {
-	return &metrics{
-		requests: map[reqKey]int64{},
-		rejects:  map[string]int64{},
-	}
-}
+	p.Counter("tnsr_xlated_store_hits_total", "Store lookups that passed every verify gate.", cs.Hits)
+	p.Counter("tnsr_xlated_store_rejects_total",
+		"Store entries that failed a verify gate and were dropped.", cs.Rejects)
+	p.Counter("tnsr_xlated_store_evictions_total", "Store entries evicted by the size cap.", cs.Evictions)
+	p.Gauge("tnsr_xlated_store_bytes", "Bytes currently in the content-addressed store.", storeBytes)
+	p.Gauge("tnsr_xlated_store_entries", "Entries currently in the content-addressed store.", storeEntries)
+	p.Counter("tnsr_xlated_store_put_errors_total",
+		"Store population writes refused by the backing disk (translation still served).", cs.PutErrs)
 
-func (m *metrics) request(method string, code int) {
-	m.mu.Lock()
-	m.requests[reqKey{method, code}]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) reject(reason string) {
-	m.mu.Lock()
-	m.rejects[reason]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) add(counter *int64) {
-	m.mu.Lock()
-	*counter++
-	m.mu.Unlock()
-}
-
-// write renders the exposition. Queue, cache, and drain state are passed
-// in so the metrics lock never nests with theirs.
-func (m *metrics) write(w io.Writer, qs QueueStats, cs tcache.Stats, storeBytes int64, storeEntries int, draining bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	obs.PromHeader(w, "tnsr_xlated_requests_total", "counter",
-		"Requests handled, by method and status code.")
-	keys := make([]reqKey, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].method != keys[j].method {
-			return keys[i].method < keys[j].method
-		}
-		return keys[i].code < keys[j].code
-	})
-	for _, k := range keys {
-		fmt.Fprintf(w, "tnsr_xlated_requests_total{method=%q,code=\"%d\"} %d\n",
-			obs.PromEscape(k.method), k.code, m.requests[k])
-	}
-
-	obs.PromHeader(w, "tnsr_xlated_rejects_total", "counter",
-		"Rejected requests, by typed reason.")
-	rkeys := make([]string, 0, len(m.rejects))
-	for k := range m.rejects {
-		rkeys = append(rkeys, k)
-	}
-	sort.Strings(rkeys)
-	for _, k := range rkeys {
-		fmt.Fprintf(w, "tnsr_xlated_rejects_total{reason=%q} %d\n",
-			obs.PromEscape(k), m.rejects[k])
-	}
-
-	obs.PromHeader(w, "tnsr_xlated_submissions_total", "counter",
-		"Codefile submissions accepted.")
-	fmt.Fprintf(w, "tnsr_xlated_submissions_total %d\n", m.submissions)
-
-	obs.PromHeader(w, "tnsr_xlated_cached_submissions_total", "counter",
-		"Submissions answered entirely from the content-addressed store.")
-	fmt.Fprintf(w, "tnsr_xlated_cached_submissions_total %d\n", m.cachedSubs)
-
-	obs.PromHeader(w, "tnsr_xlated_translations_total", "counter",
-		"Queued translations finished, by result.")
-	fmt.Fprintf(w, "tnsr_xlated_translations_total{result=\"done\"} %d\n", m.done)
-	fmt.Fprintf(w, "tnsr_xlated_translations_total{result=\"failed\"} %d\n", m.failed)
-
-	obs.PromHeader(w, "tnsr_xlated_served_total", "counter",
-		"Accelerated codefiles served (every byte re-verified on the way out).")
-	fmt.Fprintf(w, "tnsr_xlated_served_total %d\n", m.served)
-
-	obs.PromHeader(w, "tnsr_xlated_queue_tasks", "gauge",
-		"Translations currently queued or running.")
-	fmt.Fprintf(w, "tnsr_xlated_queue_tasks %d\n", qs.Tasks)
-
-	obs.PromHeader(w, "tnsr_xlated_queue_depth", "gauge",
-		"Fragment jobs enqueued and not yet claimed by a worker.")
-	fmt.Fprintf(w, "tnsr_xlated_queue_depth %d\n", qs.Frags)
-
-	obs.PromHeader(w, "tnsr_xlated_queue_steals_total", "counter",
-		"Fragment claims by an idle worker from another submission's task.")
-	fmt.Fprintf(w, "tnsr_xlated_queue_steals_total %d\n", qs.Steals)
-
-	obs.PromHeader(w, "tnsr_xlated_queue_frags_total", "counter",
-		"Fragment jobs executed by the shared pool.")
-	fmt.Fprintf(w, "tnsr_xlated_queue_frags_total %d\n", qs.Executed)
-
-	obs.PromHeader(w, "tnsr_xlated_store_hits_total", "counter",
-		"Store lookups that passed every verify gate.")
-	fmt.Fprintf(w, "tnsr_xlated_store_hits_total %d\n", cs.Hits)
-
-	obs.PromHeader(w, "tnsr_xlated_store_rejects_total", "counter",
-		"Store entries that failed a verify gate and were dropped.")
-	fmt.Fprintf(w, "tnsr_xlated_store_rejects_total %d\n", cs.Rejects)
-
-	obs.PromHeader(w, "tnsr_xlated_store_evictions_total", "counter",
-		"Store entries evicted by the size cap.")
-	fmt.Fprintf(w, "tnsr_xlated_store_evictions_total %d\n", cs.Evictions)
-
-	obs.PromHeader(w, "tnsr_xlated_store_bytes", "gauge",
-		"Bytes currently in the content-addressed store.")
-	fmt.Fprintf(w, "tnsr_xlated_store_bytes %d\n", storeBytes)
-
-	obs.PromHeader(w, "tnsr_xlated_store_entries", "gauge",
-		"Entries currently in the content-addressed store.")
-	fmt.Fprintf(w, "tnsr_xlated_store_entries %d\n", storeEntries)
-
-	obs.PromHeader(w, "tnsr_xlated_store_put_errors_total", "counter",
-		"Store population writes refused by the backing disk (translation still served).")
-	fmt.Fprintf(w, "tnsr_xlated_store_put_errors_total %d\n", cs.PutErrs)
-
-	obs.PromHeader(w, "tnsr_xlated_swept_total", "counter",
-		"Torn write temporaries reclaimed by the startup sweep.")
-	fmt.Fprintf(w, "tnsr_xlated_swept_total %d\n", m.swept)
-
-	obs.PromHeader(w, "tnsr_xlated_draining", "gauge",
-		"1 while the server refuses new submissions ahead of shutdown.")
+	p.Counter("tnsr_xlated_swept_total", "Torn write temporaries reclaimed by the startup sweep.", s.swept)
 	d := 0
-	if draining {
+	if s.Draining() {
 		d = 1
 	}
-	fmt.Fprintf(w, "tnsr_xlated_draining %d\n", d)
+	p.Gauge("tnsr_xlated_draining", "1 while the server refuses new submissions ahead of shutdown.", d)
+	return nil
 }
