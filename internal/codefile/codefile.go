@@ -139,12 +139,6 @@ type File struct {
 	Statements []Statement
 	Symbols    []Symbol
 	Accel      *AccelSection // nil until accelerated
-
-	// Unverified is set by Read for pre-v5 files, which carry no section
-	// checksums: the file loaded, but nothing vouches for its integrity.
-	// Runners treat an unverified acceleration exactly like a verified
-	// one only after AccelSection.Verify passes its structural checks.
-	Unverified bool
 }
 
 // ProcByName returns the PEP index of the named procedure, or -1.
@@ -184,13 +178,12 @@ func (f *File) StatementAt(addr uint16) *Statement {
 const (
 	magic = 0x544E5343 // "TNSC"
 	// version 6 added the acceleration section's backend tag (v5 added
-	// per-section CRC-32 checksums, v4 FallbackWhy). v5 files still load
-	// with BackendID 0 — every pre-tag section is MIPS — and v4 files
-	// load flagged Unverified, so a fleet can upgrade tools before
-	// re-accelerating its codefiles.
+	// per-section CRC-32 checksums). v5 files still load with BackendID 0
+	// — every pre-tag section is MIPS — so a fleet can upgrade tools
+	// before re-accelerating its codefiles. Older versions carry no
+	// checksums and are refused like any other unsupported version.
 	version   = 6
 	versionV5 = 5
-	versionV4 = 4
 )
 
 // FormatVersion is the current serialization version. Cache keys include
@@ -307,12 +300,11 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// Read deserializes a codefile. Format v5 verifies the per-section
-// checksums as it goes; every rejection — bad magic, unsupported version,
+// Read deserializes a codefile, verifying the per-section checksums as it
+// goes; every rejection — bad magic, unsupported version,
 // checksum mismatch, implausible count, truncation, trailing garbage — is
 // a typed *ErrCorrupt naming the section the damage was detected in, so a
-// damaged artifact can never surface as garbage structures. v4 files
-// (which carry no checksums) still load, with File.Unverified set.
+// damaged artifact can never surface as garbage structures.
 func Read(r io.Reader) (*File, error) {
 	br := newReader(r)
 	if br.u32() != magic {
@@ -326,12 +318,7 @@ func Read(r io.Reader) (*File, error) {
 	case br.err != nil:
 		return nil, br.fail()
 	case v == version:
-		br.sums = true
 	case v == versionV5:
-		br.sums = true
-		br.noBackendTag = true
-	case v == versionV4:
-		f.Unverified = true
 		br.noBackendTag = true
 	default:
 		br.err = corruptf(SecHeader, "unsupported version %d", v)
@@ -445,8 +432,7 @@ type reader struct {
 	raw          io.Reader   // the undecorated source (checksum words read here)
 	r            io.Reader   // raw teed into hash: every payload byte is summed
 	hash         hash.Hash32 // running CRC-32 of the current section's payload
-	sums         bool        // v5+: verify a stored checksum at each seal point
-	noBackendTag bool        // v4/v5: acceleration section has no backend byte
+	noBackendTag bool        // v5: acceleration section has no backend byte
 	sec          SectionID   // section under parse, for error attribution
 	err          error
 }
@@ -462,25 +448,23 @@ func (b *reader) read(v any) {
 	}
 }
 
-// seal ends the section under parse: for v5, read the stored CRC-32 (from
-// the raw stream — checksums do not checksum themselves) and compare it to
-// the running sum of the payload bytes.
+// seal ends the section under parse: read the stored CRC-32 (from the raw
+// stream — checksums do not checksum themselves) and compare it to the
+// running sum of the payload bytes.
 func (b *reader) seal(id SectionID) {
 	if b.err != nil {
 		return
 	}
-	if b.sums {
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(b.raw, crcBuf[:]); err != nil {
-			b.err = &ErrCorrupt{Section: id, Detail: "truncated checksum", Err: err}
-			return
-		}
-		stored := binary.BigEndian.Uint32(crcBuf[:])
-		if computed := b.hash.Sum32(); stored != computed {
-			b.err = corruptf(id, "checksum mismatch (stored %08X, computed %08X)",
-				stored, computed)
-			return
-		}
+	var crcBuf [4]byte
+	if _, err := io.ReadFull(b.raw, crcBuf[:]); err != nil {
+		b.err = &ErrCorrupt{Section: id, Detail: "truncated checksum", Err: err}
+		return
+	}
+	stored := binary.BigEndian.Uint32(crcBuf[:])
+	if computed := b.hash.Sum32(); stored != computed {
+		b.err = corruptf(id, "checksum mismatch (stored %08X, computed %08X)",
+			stored, computed)
+		return
 	}
 	b.hash.Reset()
 }

@@ -3,7 +3,8 @@ package codefile
 import (
 	"bytes"
 	"encoding/binary"
-	"sort"
+	"errors"
+	"strings"
 	"testing"
 )
 
@@ -109,122 +110,44 @@ func TestFixChecksum(t *testing.T) {
 		t.Fatalf("stomped code section: err = %v", err)
 	}
 	FixChecksum(mut, code)
-	f, err := Read(bytes.NewReader(mut))
-	if err != nil {
+	if _, err := Read(bytes.NewReader(mut)); err != nil {
 		t.Fatalf("checksum-repaired file rejected: %v", err)
 	}
-	if f.Unverified {
-		t.Error("v5 file flagged Unverified")
-	}
 }
 
-// marshalV4 archives the v4 wire format — identical field order, no
-// section checksums — so the backward-compatibility gate keeps a real v4
-// image to load, independent of the current Marshal.
-func marshalV4(f *File) []byte {
-	var buf bytes.Buffer
-	p := func(v any) { binary.Write(&buf, binary.BigEndian, v) }
-	p(uint32(magic))
-	p(uint16(versionV4))
-	writeString(&buf, f.Name)
-	p(uint32(len(f.Code)))
-	p(f.Code)
-	p(uint32(len(f.Procs)))
-	for i := range f.Procs {
-		writeString(&buf, f.Procs[i].Name)
-		p(f.Procs[i].Entry)
-		p(f.Procs[i].ResultWords)
-		p(f.Procs[i].ArgWords)
+// TestLegacyVersions: a v4 header (the last format without checksums) is
+// a typed rejection at the header, and a v5 file — checksums, no backend
+// tag — still loads with BackendID 0 and re-serializes as the current
+// version.
+func TestLegacyVersions(t *testing.T) {
+	v4 := []byte("TNSC\x00\x04\x00\x01v\x00\x00\x00\x00")
+	_, err := Read(bytes.NewReader(v4))
+	var ce *ErrCorrupt
+	if !errors.As(err, &ce) || ce.Section != SecHeader || !strings.Contains(err.Error(), "unsupported version 4") {
+		t.Fatalf("v4 header: err = %v, want a typed header rejection", err)
 	}
-	p(f.MainPEP)
-	p(f.GlobalWords)
-	p(uint32(len(f.Data)))
-	for i := range f.Data {
-		p(f.Data[i].Addr)
-		p(uint32(len(f.Data[i].Words)))
-		p(f.Data[i].Words)
-	}
-	p(uint32(len(f.Statements)))
-	for i := range f.Statements {
-		p(f.Statements[i].Addr)
-		p(f.Statements[i].Line)
-	}
-	p(uint32(len(f.Symbols)))
-	for i := range f.Symbols {
-		p(f.Symbols[i].Proc)
-		writeString(&buf, f.Symbols[i].Name)
-		p(uint8(f.Symbols[i].Kind))
-		p(f.Symbols[i].Addr)
-		p(f.Symbols[i].Words)
-	}
-	if f.Accel == nil {
-		p(uint8(0))
-		return buf.Bytes()
-	}
-	p(uint8(1))
-	a := f.Accel
-	p(uint8(a.Level))
-	p(uint32(len(a.RISC)))
-	p(a.RISC)
-	p(uint32(len(a.Entries)))
-	p(a.Entries)
-	p(uint32(len(a.ExpectedRP)))
-	p(a.ExpectedRP)
-	a.PMap.write(&buf)
-	p(int64(a.Stats.TNSInstrs))
-	p(int64(a.Stats.TableWords))
-	p(int64(a.Stats.RISCInstrs))
-	p(int64(a.Stats.RPChecks))
-	p(int64(a.Stats.GuessedProcs))
-	p(int64(a.Stats.PuzzlePoints))
-	p(int64(a.Stats.WeldedStmts))
-	p(int64(a.Stats.FilledSlots))
-	p(int64(a.Stats.ElidedFlagOps))
-	addrs := make([]uint16, 0, len(a.FallbackWhy))
-	for addr := range a.FallbackWhy {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	p(uint32(len(addrs)))
-	for _, addr := range addrs {
-		p(addr)
-		p(a.FallbackWhy[addr])
-	}
-	return buf.Bytes()
-}
 
-// TestV4BackCompat: a v4 file (no checksums) still loads, is flagged
-// Unverified, carries identical content, and re-serializes as v5 — the
-// fleet-upgrade path in which tools update before codefiles do.
-func TestV4BackCompat(t *testing.T) {
 	f := sampleAccelFile()
 	f.Accel.FallbackWhy = map[uint16]uint8{3: 2}
-	raw := marshalV4(f)
-	g, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("v4 file rejected: %v", err)
-	}
-	if !g.Unverified {
-		t.Error("v4 file not flagged Unverified")
-	}
-	want, _ := f.Marshal()
-	got, _ := g.Marshal()
-	if !bytes.Equal(want, got) {
-		t.Fatal("v4 load does not re-serialize to the same v5 image")
-	}
-	// The rewritten file is v5: checked, and no longer Unverified.
-	h, err := Read(bytes.NewReader(got))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Unverified {
-		t.Error("v5 rewrite still flagged Unverified")
-	}
-	// v4 truncations must still be typed rejections, not panics.
-	for n := 0; n < len(raw); n += 7 {
-		if _, err := Read(bytes.NewReader(raw[:n])); err == nil || !IsCorrupt(err) {
-			t.Fatalf("v4 truncation to %d: err = %v", n, err)
+	want, spans := f.Marshal()
+	v5 := append([]byte(nil), want...)
+	binary.BigEndian.PutUint16(v5[4:], versionV5)
+	FixChecksum(v5, spans[0])
+	for _, sp := range spans {
+		if sp.ID == SecAccelRISC { // drop the backend tag after the level byte
+			v5 = append(v5[:sp.Start+1], v5[sp.Start+2:]...)
+			FixChecksum(v5, SectionSpan{ID: sp.ID, Start: sp.Start, End: sp.End - 1})
 		}
+	}
+	g, err := Read(bytes.NewReader(v5))
+	if err != nil {
+		t.Fatalf("v5 file rejected: %v", err)
+	}
+	if g.Accel.BackendID != 0 {
+		t.Errorf("v5 section loaded with BackendID %d, want 0", g.Accel.BackendID)
+	}
+	if got, _ := g.Marshal(); !bytes.Equal(got, want) {
+		t.Error("v5 load does not re-serialize to the same current image")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"tnsr/internal/backend/mips"
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
 	"tnsr/internal/millicode"
@@ -292,10 +293,20 @@ func isNotFound(err error) bool {
 }
 
 // graft verifies the fetched codefile against the local one and adopts its
-// acceleration section.
+// acceleration section — only if it was translated for the requested
+// target, so a server that ignores the backend cannot hand a runner code
+// for the wrong machine.
 func (c *Client) graft(f, cf *codefile.File, opts core.Options) error {
 	if cf.Accel == nil {
 		return fmt.Errorf("xlate: served codefile has no acceleration section")
+	}
+	want := opts.Backend
+	if want == nil {
+		want = mips.Default
+	}
+	if cf.Accel.BackendID != want.ID() {
+		return fmt.Errorf("xlate: served codefile is for backend id %d, want %s (id %d)",
+			cf.Accel.BackendID, want.Name(), want.ID())
 	}
 	if cf.Fingerprint() != f.Fingerprint() {
 		return fmt.Errorf("xlate: served codefile fingerprint %016x does not match local %016x",
