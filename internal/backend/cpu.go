@@ -1,5 +1,7 @@
 package backend
 
+import "tnsr/internal/tns"
+
 // Trap codes raised by simulated execution. The numbering is part of the
 // cross-backend runtime contract: the mixed-mode driver keys its recovery
 // paths off these values.
@@ -27,6 +29,13 @@ type CPU struct {
 	Mem  []byte
 	Reg  [32]uint32
 	PC   uint32 // word index of the next instruction to execute
+
+	// Dirty records the pages of the TNS data region (the first
+	// 2*tns.DataWords bytes of Mem) written since the mixed-mode runtime
+	// last mirrored them into the interpreter's memory. Every store that
+	// lands in the region marks it: simulated stores and the host-side
+	// writes below alike.
+	Dirty tns.PageSet
 
 	Cycles int64
 	Instrs int64
@@ -82,12 +91,12 @@ func (c *CPU) ReadHalf(addr uint32) uint16 {
 func (c *CPU) WriteHalf(addr uint32, v uint16) {
 	c.Mem[addr] = byte(v >> 8)
 	c.Mem[addr+1] = byte(v)
+	c.Dirty.MarkByte(addr)
+	c.Dirty.MarkByte(addr + 1) // an unaligned write may straddle two pages
 }
 
 // WriteWord writes a big-endian word to data memory (host convenience).
 func (c *CPU) WriteWord(addr uint32, v uint32) {
-	c.Mem[addr] = byte(v >> 24)
-	c.Mem[addr+1] = byte(v >> 16)
-	c.Mem[addr+2] = byte(v >> 8)
-	c.Mem[addr+3] = byte(v)
+	c.WriteHalf(addr, uint16(v>>16))
+	c.WriteHalf(addr+2, uint16(v))
 }

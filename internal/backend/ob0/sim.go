@@ -359,6 +359,7 @@ func (s *Sim) store(in Instr) bool {
 		s.Mem[addr+2] = byte(v >> 8)
 		s.Mem[addr+3] = byte(v)
 	}
+	s.Dirty.MarkByte(addr)
 	s.Cycles++
 	return true
 }

@@ -63,12 +63,11 @@ func (d *Debugger) Where() Location {
 	if loc.RISCMode {
 		env := uint16(d.R.Sim.Reg[backend.RegENV])
 		loc.Space = interp.UnpackENVSpace(env)
-		f := d.file(loc.Space)
-		if f.Accel != nil {
-			if a, ok := f.Accel.PMap.Inverse(int(d.R.Sim.PC)); ok {
+		if acc := d.R.LoadedAccel(loc.Space); acc != nil {
+			if a, ok := acc.PMap.Inverse(int(d.R.Sim.PC)); ok {
 				loc.TNSAddr = a
-				_, re, _ := f.Accel.PMap.Lookup(a)
-				loc.Exact = re && int(d.R.Sim.PC) == mustIdx(f, a)
+				idx, re, _ := acc.PMap.Lookup(a)
+				loc.Exact = re && int(d.R.Sim.PC) == idx
 			}
 		}
 	} else {
@@ -95,11 +94,6 @@ func (d *Debugger) Where() Location {
 	return loc
 }
 
-func mustIdx(f *codefile.File, a uint16) int {
-	idx, _, _ := f.Accel.PMap.Lookup(a)
-	return idx
-}
-
 // BreakAtStatement sets a breakpoint at the statement boundary nearest to
 // (at or after) the given source line in the user codefile. It returns the
 // TNS address armed.
@@ -123,19 +117,7 @@ func (d *Debugger) BreakAtStatement(line int32) (uint16, error) {
 // address must be a mapped (memory- or register-exact) point; unmapped
 // addresses are still honored when execution is interpreted.
 func (d *Debugger) BreakAt(space interp.Space, addr uint16) error {
-	if d.R.TNSBreaks == nil {
-		d.R.TNSBreaks = map[uint32]bool{}
-	}
-	d.R.TNSBreaks[uint32(space)<<16|uint32(addr)] = true
-	f := d.file(space)
-	if f.Accel != nil {
-		if idx, _, ok := f.Accel.PMap.Lookup(addr); ok {
-			if d.R.Sim.Breakpoints == nil {
-				d.R.Sim.Breakpoints = map[uint32]bool{}
-			}
-			d.R.Sim.Breakpoints[uint32(idx)] = true
-			return nil
-		}
+	if !d.R.ArmBreak(uint8(space), addr) && d.R.LoadedAccel(space) != nil {
 		return fmt.Errorf("debug: %d is not an exact point in the translation"+
 			" (it will still break under interpretation)", addr)
 	}
@@ -159,12 +141,7 @@ func (d *Debugger) StepStatement(budget int64) (Location, error) {
 	d.R.TNSBreaks = map[uint32]bool{}
 	d.R.Sim.Breakpoints = map[uint32]bool{}
 	for _, st := range f.Statements {
-		d.R.TNSBreaks[uint32(interp.SpaceUser)<<16|uint32(st.Addr)] = true
-		if f.Accel != nil {
-			if idx, _, ok := f.Accel.PMap.Lookup(st.Addr); ok {
-				d.R.Sim.Breakpoints[uint32(idx)] = true
-			}
-		}
+		d.R.ArmBreak(uint8(interp.SpaceUser), st.Addr)
 	}
 	err := d.R.Continue(budget)
 	d.R.TNSBreaks = saved
@@ -214,9 +191,9 @@ func (d *Debugger) ReadVar(name string) (int32, error) {
 		return 0, err
 	}
 	addr := uint16(int(base) + int(sym.Addr))
-	w := d.dataWord(addr)
+	w := d.R.DataWord(addr)
 	if sym.Words == 2 {
-		return int32(uint32(w)<<16 | uint32(d.dataWord(addr+1))), nil
+		return int32(uint32(w)<<16 | uint32(d.R.DataWord(addr+1))), nil
 	}
 	return int32(int16(w)), nil
 }
@@ -231,11 +208,11 @@ func (d *Debugger) WriteVar(name string, v int32) error {
 	}
 	addr := uint16(int(base) + int(sym.Addr))
 	if sym.Words == 2 {
-		d.setDataWord(addr, uint16(uint32(v)>>16))
-		d.setDataWord(addr+1, uint16(v))
+		d.R.SetDataWord(addr, uint16(uint32(v)>>16))
+		d.R.SetDataWord(addr+1, uint16(v))
 		return nil
 	}
-	d.setDataWord(addr, uint16(v))
+	d.R.SetDataWord(addr, uint16(v))
 	return nil
 }
 
@@ -265,21 +242,6 @@ func (d *Debugger) currentL() uint16 {
 		return uint16(d.R.Sim.Reg[backend.RegL] / 2)
 	}
 	return d.R.Int.L
-}
-
-func (d *Debugger) dataWord(addr uint16) uint16 {
-	if d.R.InRISCMode() {
-		return d.R.Sim.ReadHalf(uint32(addr) * 2)
-	}
-	return d.R.Int.Mem[addr]
-}
-
-func (d *Debugger) setDataWord(addr uint16, v uint16) {
-	if d.R.InRISCMode() {
-		d.R.Sim.WriteHalf(uint32(addr)*2, v)
-		return
-	}
-	d.R.Int.Mem[addr] = v
 }
 
 // DisassembleTNS renders the CISC view around an address.

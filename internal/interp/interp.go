@@ -88,6 +88,9 @@ type Machine struct {
 	T    bool
 	// Data space.
 	Mem []uint16
+	// Dirty records the data pages written since the mixed-mode runtime
+	// last mirrored this machine's memory into the simulator's.
+	Dirty tns.PageSet
 
 	User *codefile.File
 	Lib  *codefile.File // may be nil
@@ -131,10 +134,12 @@ func New(user, lib *codefile.File) *Machine {
 	}
 	for _, seg := range user.Data {
 		copy(m.Mem[seg.Addr:], seg.Words)
+		m.Dirty.MarkWords(int(seg.Addr), len(seg.Words))
 	}
 	if lib != nil {
 		for _, seg := range lib.Data {
 			copy(m.Mem[seg.Addr:], seg.Words)
+			m.Dirty.MarkWords(int(seg.Addr), len(seg.Words))
 		}
 	}
 	base := user.GlobalWords + initialMargin
@@ -206,6 +211,7 @@ func (m *Machine) setTop(v uint16) { m.R[m.RP] = v }
 
 func (m *Machine) store(addr, v uint16) {
 	m.Mem[addr] = v
+	m.Dirty.MarkWord(addr)
 	if m.StoreTrace != nil {
 		m.StoreTrace(addr, v)
 	}

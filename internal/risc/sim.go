@@ -474,6 +474,7 @@ func (s *Sim) storeOp(in Instr) bool {
 		s.Mem[addr+2] = byte(v >> 8)
 		s.Mem[addr+3] = byte(v)
 	}
+	s.Dirty.MarkByte(addr)
 	s.dAccess(addr)
 	return true
 }

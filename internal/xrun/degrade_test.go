@@ -4,13 +4,16 @@ import (
 	"strings"
 	"testing"
 
+	"tnsr/internal/backend"
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
+	"tnsr/internal/interp"
 	"tnsr/internal/millicode"
 	"tnsr/internal/obs"
 	"tnsr/internal/risc"
 	"tnsr/internal/tns"
 	"tnsr/internal/tnsasm"
+	"tnsr/internal/workloads"
 )
 
 // TestDegradedRunsInterpreted is the graceful-degradation contract: a
@@ -320,5 +323,131 @@ func TestBreakpointEscapeClassified(t *testing.T) {
 	}
 	if bps == 0 {
 		t.Error("no breakpoint escape recorded")
+	}
+}
+
+// et1Accelerated builds the et1 user and library codefiles, translated
+// for the named backends, and the pure interpreter's console for them.
+func et1Accelerated(t *testing.T, userBE, libBE string) (user, lib *codefile.File, want string) {
+	t.Helper()
+	ref := workloads.MustBuild("et1", 2)
+	m := interp.New(ref.User, ref.Lib)
+	if err := m.Run(100_000_000); err != nil || !m.Halted {
+		t.Fatalf("reference run: halted=%v err=%v", m.Halted, err)
+	}
+	w := workloads.MustBuild("et1", 2)
+	ube, _ := backend.ByName(userBE)
+	lbe, _ := backend.ByName(libBE)
+	if err := core.Accelerate(w.Lib, core.Options{Level: codefile.LevelDefault, Backend: lbe,
+		CodeBase: millicode.LibCodeBase, Space: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Accelerate(w.User, core.Options{Level: codefile.LevelDefault, Backend: ube,
+		LibSummaries: w.LibSummaries}); err != nil {
+		t.Fatal(err)
+	}
+	return w.User, w.Lib, m.Console.String()
+}
+
+// TestUnknownBackendsDegradeInOrder: with both sections stamped for an
+// unregistered target, New drops both and reports them user first, the
+// same way on every call; both spaces then run interpreted.
+func TestUnknownBackendsDegradeInOrder(t *testing.T) {
+	user, lib, want := et1Accelerated(t, "mips", "mips")
+	user.Accel.BackendID, lib.Accel.BackendID = 9, 9
+	var first string
+	for i := 0; i < 100; i++ {
+		r, err := New(user, lib, risc.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = r.DegradedReason
+			if !strings.HasPrefix(first, "user: ") || !strings.Contains(first, "; lib: ") {
+				t.Fatalf("DegradedReason = %q, want the user section then the library", first)
+			}
+			if err := r.Run(100_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if r.Console() != want || r.Sim.Instrs != 0 {
+				t.Errorf("console %q after %d RISC instructions, want the interpreter's %q and none",
+					r.Console(), r.Sim.Instrs, want)
+			}
+		} else if r.DegradedReason != first {
+			t.Fatalf("call %d: DegradedReason = %q, first call gave %q", i, r.DegradedReason, first)
+		}
+	}
+}
+
+// TestBackendMismatchDropsLibrary: one simulator drives both spaces, so a
+// library translated for another target than the user is dropped and
+// runs interpreted while the user keeps its translation.
+func TestBackendMismatchDropsLibrary(t *testing.T) {
+	user, lib, want := et1Accelerated(t, "mips", "ob0")
+	r, err := New(user, lib, risc.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(r.DegradedReason, "lib: ") || !strings.Contains(r.DegradedReason, "backend mismatch") {
+		t.Errorf("DegradedReason = %q, want the library dropped for a backend mismatch", r.DegradedReason)
+	}
+	if r.LoadedAccel(interp.SpaceLib) != nil || r.LoadedAccel(interp.SpaceUser) == nil {
+		t.Error("want the user section loaded and the library's dropped")
+	}
+	if r.Backend().Name() != "mips" {
+		t.Errorf("backend %s, want the user's mips", r.Backend().Name())
+	}
+	if err := r.Run(100_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if r.Console() != want {
+		t.Errorf("console %q, want the interpreter's %q", r.Console(), want)
+	}
+	if r.Sim.Instrs == 0 {
+		t.Error("the user section never ran translated")
+	}
+}
+
+// TestArmBreakDegradedSection: ArmBreak arms the RISC side only for the
+// section the runner loaded. A user section that failed Verify has a PMap
+// that still maps the address, but that code was never loaded: the RISC
+// side stays unarmed and the breakpoint hits under interpretation.
+func TestArmBreakDegradedSection(t *testing.T) {
+	f := tnsasm.MustAssemble("mix", mixProg)
+	if err := core.Accelerate(f, core.Options{Level: codefile.LevelDefault}); err != nil {
+		t.Fatal(err)
+	}
+	addr := f.Procs[f.ProcByName("addup")].Entry
+	if _, _, ok := f.Accel.PMap.Lookup(addr); !ok {
+		t.Fatal("addup entry not mapped")
+	}
+	healthy, err := New(f, nil, risc.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !healthy.ArmBreak(0, addr) {
+		t.Fatal("ArmBreak on a loaded section's mapped point returned false")
+	}
+
+	f.Accel.Entries = f.Accel.Entries[:len(f.Accel.Entries)-1] // fails Verify
+	r, err := New(f, nil, risc.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Degraded {
+		t.Fatal("runner did not degrade")
+	}
+	if r.ArmBreak(0, addr) {
+		t.Error("ArmBreak reported the RISC side armed for a section that was never loaded")
+	}
+	if len(r.Sim.Breakpoints) != 0 {
+		t.Errorf("RISC breakpoints armed: %v", r.Sim.Breakpoints)
+	}
+	if err := r.Run(10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if !r.BPHit || r.BPAddr != addr || r.InRISCMode() {
+		t.Errorf("hit=%v at %d (risc=%v), want an interpreted hit at %d",
+			r.BPHit, r.BPAddr, r.InRISCMode(), addr)
 	}
 }

@@ -50,6 +50,10 @@ type Runner struct {
 	InterludeProf interp.Profile // instructions interpreted in fallback mode
 	Interludes    int            // interpreter episodes
 	Switches      int            // total mode switches (both directions)
+	// MirroredPages counts the tns.PageWords-word data pages copied
+	// between the interpreter's and the simulator's memory, both
+	// directions, including New's initial mirror.
+	MirroredPages int
 	// FallbackAt counts interpreter entries by (space<<16 | TNS address),
 	// for diagnosing puzzle hot spots.
 	FallbackAt map[uint32]int
@@ -151,7 +155,7 @@ func New(user, lib *codefile.File, cfg risc.Config) (*Runner, error) {
 	// different targets the library is dropped (one simulator drives
 	// both spaces). With no accelerated sections the MIPS default
 	// stands, timing-configured by cfg.
-	for space, i := range map[string]int{"user": 0, "lib": 1} {
+	for i, space := range spaceNames {
 		a := r.accel[i]
 		if a == nil {
 			continue
@@ -228,7 +232,8 @@ func New(user, lib *codefile.File, cfg risc.Config) (*Runner, error) {
 	r.Sim.ProtectedLo = millicode.PtrArea
 	r.Sim.ProtectedHi = next
 
-	// Mirror the interpreter's initial data image into RISC memory.
+	// Mirror the pages interp.New wrote (the data image and the halt
+	// marker); simulator memory starts zeroed, so every other page agrees.
 	r.syncMemToSim()
 	r.inRISC = false
 	return r, nil
@@ -281,24 +286,84 @@ func packEMap(entries []int32) []byte {
 	return out
 }
 
-// syncMemToSim copies the interpreter's data space into simulator memory.
+// mirrorHook, when non-nil, runs after every memory sync with the number
+// of pages it copied, and after every rollback (rolledBack true). Tests
+// install the mirror invariant check here (DESIGN.md §6); in production it
+// is nil and costs one comparison per switch.
+var mirrorHook func(r *Runner, pages int, rolledBack bool)
+
+// syncMemToSim mirrors memory interpreter→simulator at a RISC entry (and
+// in New and AdoptInterpreter). It copies the pages in the union of both
+// sides' page sets, then clears both. The simulator's set is non-empty
+// here only after a rollback: it holds the pages the abandoned episode
+// wrote, and copying them from the interpreter, which the episode never
+// wrote, restores the entry state.
 func (r *Runner) syncMemToSim() {
-	for i, w := range r.Int.Mem {
-		r.Sim.Mem[2*i] = byte(w >> 8)
-		r.Sim.Mem[2*i+1] = byte(w)
+	dirty := r.Int.Dirty
+	dirty.Union(&r.Sim.Dirty)
+	dirty.ForEach(func(pg int) {
+		lo := pg * tns.PageWords
+		dst := r.Sim.Mem[2*lo : 2*(lo+tns.PageWords)]
+		for i, w := range r.Int.Mem[lo : lo+tns.PageWords] {
+			dst[2*i] = byte(w >> 8)
+			dst[2*i+1] = byte(w)
+		}
+	})
+	n := dirty.Len()
+	r.MirroredPages += n
+	r.Int.Dirty, r.Sim.Dirty = tns.PageSet{}, tns.PageSet{}
+	if mirrorHook != nil {
+		mirrorHook(r, n, false)
 	}
 }
 
-// syncMemToInt copies simulator data space back into the interpreter.
+// syncMemToInt commits a RISC episode's memory at exit, halt or trap: it
+// copies simulator→interpreter the pages the simulator wrote, then clears
+// its set. Every other page still agrees, because the entry sync left the
+// two memories equal and nothing writes the interpreter during an episode.
 func (r *Runner) syncMemToInt() {
-	for i := range r.Int.Mem {
-		r.Int.Mem[i] = uint16(r.Sim.Mem[2*i])<<8 | uint16(r.Sim.Mem[2*i+1])
+	r.Sim.Dirty.ForEach(func(pg int) {
+		lo := pg * tns.PageWords
+		src := r.Sim.Mem[2*lo : 2*(lo+tns.PageWords)]
+		dst := r.Int.Mem[lo : lo+tns.PageWords]
+		for i := range dst {
+			dst[i] = uint16(src[2*i])<<8 | uint16(src[2*i+1])
+		}
+	})
+	n := r.Sim.Dirty.Len()
+	r.MirroredPages += n
+	r.Sim.Dirty = tns.PageSet{}
+	if mirrorHook != nil {
+		mirrorHook(r, n, false)
 	}
 }
 
-// accelOf returns the verified acceleration section for a code space, or
-// nil (no section, or one that failed verification at New time).
-func (r *Runner) accelOf(space interp.Space) *codefile.AccelSection {
+// DataWord reads data word addr from the memory that is current in this
+// mode: the simulator's while in RISC mode, the interpreter's otherwise.
+func (r *Runner) DataWord(addr uint16) uint16 {
+	if r.inRISC {
+		return r.Sim.ReadHalf(uint32(addr) * 2)
+	}
+	return r.Int.Mem[addr]
+}
+
+// SetDataWord writes data word addr into the memory that is current in
+// this mode and marks its page there, so the next switch mirrors it. It
+// is the one entry point for host-side data writes (the debugger's).
+func (r *Runner) SetDataWord(addr, v uint16) {
+	if r.inRISC {
+		r.Sim.WriteHalf(uint32(addr)*2, v)
+		return
+	}
+	r.Int.Mem[addr] = v
+	r.Int.Dirty.MarkWord(addr)
+}
+
+// LoadedAccel returns the acceleration section the runner loaded for a
+// code space, or nil: no section, or one New refused (failed Verify,
+// unknown backend, or a library dropped for a backend mismatch). This,
+// not File.Accel, says whether the space has translated code.
+func (r *Runner) LoadedAccel(space interp.Space) *codefile.AccelSection {
 	return r.accel[space&1]
 }
 
@@ -306,7 +371,7 @@ func (r *Runner) accelOf(space interp.Space) *codefile.AccelSection {
 // register-exact point and, if so, switches to RISC execution. When it
 // refuses, r.noEnter records why (read by the initial-interlude telemetry).
 func (r *Runner) enterRISCIfMapped() bool {
-	acc := r.accelOf(r.Int.Space)
+	acc := r.LoadedAccel(r.Int.Space)
 	if acc == nil {
 		if r.degraded[r.Int.Space&1] {
 			r.noEnter = obs.EscapeQuarantined
@@ -458,21 +523,19 @@ func (r *Runner) InRISCMode() bool { return r.inRISC }
 // ArmBreak arms a breakpoint at a TNS address in the given code space
 // (0 = user, 1 = lib) for both execution modes: the interpreter-side check
 // always, and the RISC-side breakpoint when the address is a mapped point
-// of a loaded translation. It reports whether the RISC side was armed;
-// unmapped addresses still break under interpretation.
+// of the translation the runner loaded (LoadedAccel). It reports whether
+// the RISC side was armed; unmapped addresses, and every address of a
+// space New refused to load, still break under interpretation.
 func (r *Runner) ArmBreak(space uint8, addr uint16) bool {
 	if r.TNSBreaks == nil {
 		r.TNSBreaks = map[uint32]bool{}
 	}
 	r.TNSBreaks[uint32(space&1)<<16|uint32(addr)] = true
-	f := r.User
-	if space&1 == 1 {
-		f = r.Lib
-	}
-	if f == nil || f.Accel == nil {
+	acc := r.LoadedAccel(interp.Space(space))
+	if acc == nil {
 		return false
 	}
-	idx, _, ok := f.Accel.PMap.Lookup(addr)
+	idx, _, ok := acc.PMap.Lookup(addr)
 	if !ok {
 		return false
 	}
@@ -496,7 +559,7 @@ func (r *Runner) runRISC(maxInstrs int64) error {
 	case s.BPHit:
 		r.BPHit = true
 		r.BPSpace = interp.UnpackENVSpace(uint16(s.Reg[risc.RegENV]))
-		if acc := r.accelOf(r.BPSpace); acc != nil {
+		if acc := r.LoadedAccel(r.BPSpace); acc != nil {
 			if a, ok := acc.PMap.Inverse(int(s.PC)); ok {
 				r.BPAddr = a
 			}
@@ -512,7 +575,7 @@ func (r *Runner) runRISC(maxInstrs int64) error {
 		r.Halted = true
 		r.Trap = tns.TrapOverflow
 		space := interp.UnpackENVSpace(uint16(s.Reg[risc.RegENV]))
-		if acc := r.accelOf(space); acc != nil {
+		if acc := r.LoadedAccel(space); acc != nil {
 			if a, ok := acc.PMap.Inverse(int(s.TrapPC)); ok {
 				r.TrapP = a
 			}
@@ -585,9 +648,11 @@ func (r *Runner) runRISC(maxInstrs int64) error {
 
 // rollback abandons the current RISC episode after an unexpected trap or
 // break. It is sound because the interpreter still holds the exact
-// architectural state from the episode's entry point: memory is copied
-// into the simulator at entry and the interpreter is never written during
-// RISC execution. The one irreversible side effect is console output
+// architectural state from the episode's entry point: the entry sync made
+// the two memories equal and the interpreter is never written during RISC
+// execution. Nothing is copied here. The pages the episode wrote stay in
+// the simulator's page set, so the next entry's syncMemToSim restores them
+// from the interpreter. The one irreversible side effect is console output
 // (onSyscall writes it directly), so an episode that already printed
 // cannot be re-run and rollback reports false.
 //
@@ -622,12 +687,15 @@ func (r *Runner) rollback(detail string) bool {
 		r.Obs.Escape(uint8(r.entrySpace), r.entryAddr, obs.EscapeQuarantined, true)
 	}
 	// Discard the simulator episode; the interpreter resumes at the
-	// entry point (its state was never touched). Simulator data memory
-	// is re-mirrored on the next RISC entry.
+	// entry point (its state was never touched). The pages the episode
+	// wrote are restored on the next RISC entry.
 	r.Sim.Cycles += SwitchPenalty
 	r.Switches++
 	r.Interludes++
 	r.inRISC = false
+	if mirrorHook != nil {
+		mirrorHook(r, 0, true)
+	}
 	return true
 }
 
@@ -651,7 +719,7 @@ func (r *Runner) procName(space interp.Space, proc int) string {
 // non-register-exact points — hence Unmapped. Unknown should never occur
 // (the differential tests assert this).
 func (r *Runner) fallbackReason(space interp.Space, p uint16) obs.EscapeReason {
-	acc := r.accelOf(space)
+	acc := r.LoadedAccel(space)
 	if acc == nil {
 		return obs.EscapeUntranslated
 	}
@@ -730,7 +798,8 @@ func (r *Runner) onSyscall(s *backend.CPU, code uint32) {
 // AdoptInterpreter replaces the runner's interpreter with an existing
 // machine mid-execution (dynamic translation hands a running interpreted
 // program over to freshly translated code). The machine's memory becomes
-// authoritative.
+// authoritative; its page set says nothing about what the simulator
+// holds, so every page is marked and mirrored: the one full copy.
 func (r *Runner) AdoptInterpreter(m *interp.Machine) {
 	if r.Obs != nil {
 		m.Obs = r.Obs
@@ -740,6 +809,7 @@ func (r *Runner) AdoptInterpreter(m *interp.Machine) {
 	}
 	r.Int = m
 	r.Sim.OnSyscall = r.onSyscall
+	m.Dirty.MarkAll()
 	r.syncMemToSim()
 	r.inRISC = false
 }
