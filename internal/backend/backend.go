@@ -4,8 +4,8 @@
 // translator emits a stream of virtual instructions ([Inst]) in the
 // register convention of the TNS/R emulation scheme; a [Backend] turns that
 // stream into target machine words, supplies the millicode implementation
-// of the runtime routines, and constructs a simulator for mixed-mode
-// execution.
+// of the runtime routines, and decodes a run's code image once into a
+// [Program] whose simulators drive mixed-mode execution.
 //
 // What is fixed across backends — the TNS/R runtime contract — lives in
 // the millicode package: the data/code memory layout, the BREAK/SYSCALL
@@ -43,6 +43,19 @@ type Encoded struct {
 	Pos []int32
 }
 
+// Program is a code image decoded once into one target's instruction form
+// (under one timing configuration, for a target that has one). It is
+// immutable: every simulator built from it shares the decoded code
+// read-only, and owns only its registers, data memory and pipeline state.
+type Program interface {
+	// Code returns the raw words the program was decoded from: what a
+	// code-window load reads and what a disassembler lists.
+	Code() *CodeImage
+	// NewSim constructs a simulator over the program with memBytes bytes
+	// of data memory.
+	NewSim(memBytes int) Sim
+}
+
 // Sim is the minimal simulator surface mixed-mode execution needs. The
 // shared architectural and protocol state lives in [CPU]; a backend's
 // simulator embeds CPU (gaining Core for free) and adds its private
@@ -78,9 +91,10 @@ type Backend interface {
 	// resolves a label to the virtual instruction index it is bound to
 	// (which may equal len(ins) for end-of-stream labels).
 	Encode(ins []Inst, labelAt func(Label) (int32, error), base uint32) (Encoded, error)
-	// NewSim constructs a simulator over the given code image with
-	// memBytes bytes of data memory.
-	NewSim(code []uint32, memBytes int) Sim
+	// Load decodes the populated words of a code image once into the
+	// target's instruction form. Words the target cannot decode are kept
+	// as invalid instructions that trap when executed, never here.
+	Load(code *CodeImage) Program
 	// Disasm renders one target word for listings and debuggers; pc is
 	// the word's code index (branch targets print absolutely).
 	Disasm(pc, w uint32) string

@@ -13,6 +13,10 @@
 //     loops — executes to the architecturally-defined result on the
 //     backend's own simulator, with the BREAK, SYSCALL, StoreTrace,
 //     breakpoint, trap and register-zero protocols all observed.
+//   - The code space is sparse: a code image holding only its segments
+//     executes, and reads through the code window, exactly like the dense
+//     image with zeros in the gaps; PCs and code-window loads at or beyond
+//     its length trap.
 //   - Def/use metadata agrees with the simulator: an instruction changes
 //     no general register outside its def, and its effect is invariant
 //     under perturbation of registers outside its use set.
@@ -46,6 +50,7 @@ func Contract(t *testing.T, be backend.Backend, defuse DefUse) {
 	t.Run("exec", func(t *testing.T) { testExec(t, be) })
 	t.Run("breakpoints", func(t *testing.T) { testBreakpoints(t, be) })
 	t.Run("traps", func(t *testing.T) { testTraps(t, be) })
+	t.Run("sparse-code", func(t *testing.T) { testSparseCode(t, be) })
 	if defuse != nil {
 		t.Run("defuse-vs-sim", func(t *testing.T) { testDefUseVsSim(t, be, defuse) })
 	}
@@ -249,7 +254,7 @@ func testExec(t *testing.T, be backend.Backend) {
 	p, marks := execProg()
 	enc := p.encode(t, be)
 
-	sim := be.NewSim(enc.Code, 0x10000)
+	sim := be.Load(backend.FlatCode(enc.Code)).NewSim(0x10000)
 	s := sim.Core()
 	if s == nil {
 		t.Fatal("Core() returned nil")
@@ -330,7 +335,7 @@ func testExec(t *testing.T, be backend.Backend) {
 func testBreakpoints(t *testing.T, be backend.Backend) {
 	p, marks := execProg()
 	enc := p.encode(t, be)
-	sim := be.NewSim(enc.Code, 0x10000)
+	sim := be.Load(backend.FlatCode(enc.Code)).NewSim(0x10000)
 	s := sim.Core()
 	bp := uint32(enc.Pos[marks["sh"]])
 	s.Breakpoints = map[uint32]bool{bp: true}
@@ -412,7 +417,7 @@ func testTraps(t *testing.T, be backend.Backend) {
 			p := newProg()
 			p.ins = tc.ins
 			enc := p.encode(t, be)
-			sim := be.NewSim(enc.Code, 0x10000)
+			sim := be.Load(backend.FlatCode(enc.Code)).NewSim(0x10000)
 			s := sim.Core()
 			if tc.prep != nil {
 				tc.prep(s)
@@ -431,6 +436,85 @@ func testTraps(t *testing.T, be backend.Backend) {
 				t.Errorf("TrapPC = %d, want %d", s.TrapPC, want)
 			}
 		})
+	}
+}
+
+// testSparseCode runs the same code sparse (only its two segments stored)
+// and dense (zeros in the gap, up to the same length), and requires the
+// same architectural outcome: a fragment at word 0 reads a gap word and
+// the second segment's first word through the code window, then jumps
+// into the gap a few words below the second segment, whose BREAK it
+// reaches if gap words execute (as word 0 does on this target) and
+// survive. Resuming at the code space's length, and a code-window load
+// there, trap on both.
+func testSparseCode(t *testing.T, be backend.Backend) {
+	const (
+		gapWord = 2*backend.CodePageWords + 7
+		base    = 3*backend.CodePageWords + 5 // the second segment
+		n       = base + 4                    // a partial last page
+	)
+	t0, t1, t2 := uint8(backend.RegT0), uint8(backend.RegT0+1), uint8(backend.RegT0+2)
+	window := func(word int) []backend.Inst {
+		v := int32(millicode.CodeWindow + 4*word)
+		return []backend.Inst{
+			{Op: backend.LUI, Rt: t0, Imm: v >> 16},
+			{Op: backend.ORI, Rt: t0, Rs: t0, Imm: v & 0xFFFF},
+		}
+	}
+	p := newProg()
+	for _, in := range window(gapWord) {
+		p.add(in)
+	}
+	p.add(backend.Inst{Op: backend.LW, Rt: t1, Rs: t0})
+	for _, in := range window(base) {
+		p.add(in)
+	}
+	p.add(backend.Inst{Op: backend.LW, Rt: t2, Rs: t0})
+	p.add(backend.Inst{Op: backend.J, JTarget: base - 3, JLbl: backend.NoLabel})
+	p.nop()
+	head := p.encode(t, be)
+	tail, err := be.Encode([]backend.Inst{{Op: backend.BREAK, Code: 3}}, newProg().labelAt, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := make([]uint32, n)
+	copy(dense, head.Code)
+	copy(dense[base:], tail.Code)
+	sparse := backend.NewCodeImage(n,
+		backend.Segment{Words: head.Code}, backend.Segment{Base: base, Words: tail.Code})
+	if sparse.Len() != n || sparse.Word(gapWord) != 0 || sparse.Word(base) != tail.Code[0] {
+		t.Fatalf("sparse image: len %d, gap word %#x, segment word %#x", sparse.Len(),
+			sparse.Word(gapWord), sparse.Word(base))
+	}
+
+	run := func(code *backend.CodeImage, pc uint32) backend.CPU {
+		sim := be.Load(code).NewSim(0x1000)
+		sim.ResumeAt(pc)
+		if err := sim.Run(10_000); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		c := *sim.Core()
+		c.Mem = nil
+		return c
+	}
+	s, d := run(sparse, 0), run(backend.FlatCode(dense), 0)
+	if !reflect.DeepEqual(s, d) {
+		t.Errorf("sparse run %+v\ndense run  %+v", s, d)
+	}
+	if s.Reg[t1] != 0 || s.Reg[t2] != tail.Code[0] {
+		t.Errorf("code window read %#x (gap) and %#x (segment), want 0 and %#x",
+			s.Reg[t1], s.Reg[t2], tail.Code[0])
+	}
+	if end := run(sparse, n); end.Trap != backend.TrapBadInstr || end.TrapPC != n {
+		t.Errorf("resume at the code length: trap %d at %d, want %d at %d",
+			end.Trap, end.TrapPC, backend.TrapBadInstr, n)
+	}
+	q := newProg()
+	q.ins = append(window(n), backend.Inst{Op: backend.LW, Rt: t1, Rs: t0},
+		backend.Inst{Op: backend.BREAK, Code: 9})
+	load := backend.NewCodeImage(n, backend.Segment{Words: q.encode(t, be).Code})
+	if end := run(load, 0); end.Trap != backend.TrapAddress {
+		t.Errorf("code-window load at the code length: trap %d, want %d", end.Trap, backend.TrapAddress)
 	}
 }
 
@@ -463,8 +547,9 @@ func testDefUseVsSim(t *testing.T, be backend.Backend, defuse DefUse) {
 			}
 		}
 
+		prog := be.Load(backend.FlatCode([]uint32{w}))
 		run := func(regs [32]uint32) *backend.CPU {
-			sim := be.NewSim([]uint32{w}, memBytes)
+			sim := prog.NewSim(memBytes)
 			c := sim.Core()
 			c.Reg = regs
 			c.Reg[0] = 0

@@ -21,14 +21,15 @@ const (
 // registers); the mixed-mode driver and the debugger operate on CPU alone
 // and stay target-independent.
 //
-// Code is held separately from data memory; PC values are word indexes
-// into Code, and register-held code addresses are byte addresses, i.e. 4
-// times the word index, on every backend.
+// Code is not part of CPU: it lives, decoded, in the [Program] the
+// simulator was built from and is shared by every simulator of that
+// program. PC values are word indexes into the program's code space, and
+// register-held code addresses are byte addresses, i.e. 4 times the word
+// index, on every backend.
 type CPU struct {
-	Code []uint32
-	Mem  []byte
-	Reg  [32]uint32
-	PC   uint32 // word index of the next instruction to execute
+	Mem []byte
+	Reg [32]uint32
+	PC  uint32 // word index of the next instruction to execute
 
 	// Dirty records the pages of the TNS data region (the first
 	// 2*tns.DataWords bytes of Mem) written since the mixed-mode runtime

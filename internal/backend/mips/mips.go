@@ -44,9 +44,10 @@ func (b *B) Millicode() (code []uint32, labels map[string]uint32) {
 	return millicode.Build()
 }
 
-// NewSim constructs an R3000 simulator with this backend's timing config.
-func (b *B) NewSim(code []uint32, memBytes int) backend.Sim {
-	return risc.NewSim(code, memBytes, b.Cfg)
+// Load decodes a code image once for the R3000 simulator under this
+// backend's timing config.
+func (b *B) Load(code *backend.CodeImage) backend.Program {
+	return risc.NewProgram(code, b.Cfg)
 }
 
 // Encode lowers the virtual stream 1:1 into MIPS words.

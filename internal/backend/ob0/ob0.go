@@ -31,7 +31,5 @@ func (b *B) Millicode() (code []uint32, labels map[string]uint32) {
 	return BuildMillicode()
 }
 
-// NewSim constructs an ob0 simulator.
-func (b *B) NewSim(code []uint32, memBytes int) backend.Sim {
-	return NewSim(code, memBytes)
-}
+// Load decodes a code image once for the ob0 simulator.
+func (b *B) Load(code *backend.CodeImage) backend.Program { return NewProgram(code) }

@@ -27,13 +27,34 @@ type Sim struct {
 	// CMPI, tested by the conditional branches.
 	FlagZ, FlagN, FlagV bool
 
+	ins    backend.Decoded[Instr] // the program's, shared read-only
+	code   *backend.CodeImage
 	skipBP bool
 }
 
-// NewSim creates an ob0 simulator over the given code image with memBytes
+// Program is a code image decoded once by the strict ob0 decoder: a
+// damaged word becomes an INVALID instruction that traps when it
+// executes. It is immutable and shared by every simulator built from it.
+type Program struct {
+	code *backend.CodeImage
+	ins  backend.Decoded[Instr]
+}
+
+// NewProgram decodes the populated words of code once.
+func NewProgram(code *backend.CodeImage) *Program {
+	return &Program{code: code, ins: backend.DecodeCode(code, Decode)}
+}
+
+// Code returns the raw words the program was decoded from.
+func (p *Program) Code() *backend.CodeImage { return p.code }
+
+// NewSim constructs a simulator over the program (backend.Program).
+func (p *Program) NewSim(memBytes int) backend.Sim { return NewSim(p, memBytes) }
+
+// NewSim creates an ob0 simulator over a decoded program with memBytes
 // bytes of data memory.
-func NewSim(code []uint32, memBytes int) *Sim {
-	return &Sim{CPU: backend.CPU{Code: code, Mem: make([]byte, memBytes)}}
+func NewSim(p *Program, memBytes int) *Sim {
+	return &Sim{CPU: backend.CPU{Mem: make([]byte, memBytes)}, ins: p.ins, code: p.code}
 }
 
 // ResumeAt clears the stop condition and continues execution at the given
@@ -75,11 +96,11 @@ func (s *Sim) step() {
 		return
 	}
 	s.skipBP = false
-	if int(pc) >= len(s.Code) {
+	if int(pc) >= s.ins.Len() {
 		s.trap(backend.TrapBadInstr)
 		return
 	}
-	in := Decode(s.Code[pc])
+	in := s.ins.At(pc)
 	s.Cycles++
 	s.Instrs++
 	if s.OnInstr != nil {
@@ -203,27 +224,27 @@ func (s *Sim) step() {
 		}
 	case BEQ:
 		if s.FlagZ {
-			npc = s.branchTarget(in)
+			npc = s.branchTarget(in.Imm)
 		}
 	case BNE:
 		if !s.FlagZ {
-			npc = s.branchTarget(in)
+			npc = s.branchTarget(in.Imm)
 		}
 	case BLT:
 		if s.FlagN != s.FlagV {
-			npc = s.branchTarget(in)
+			npc = s.branchTarget(in.Imm)
 		}
 	case BGE:
 		if s.FlagN == s.FlagV {
-			npc = s.branchTarget(in)
+			npc = s.branchTarget(in.Imm)
 		}
 	case BLE:
 		if s.FlagZ || s.FlagN != s.FlagV {
-			npc = s.branchTarget(in)
+			npc = s.branchTarget(in.Imm)
 		}
 	case BGT:
 		if !s.FlagZ && s.FlagN == s.FlagV {
-			npc = s.branchTarget(in)
+			npc = s.branchTarget(in.Imm)
 		}
 	case JA:
 		npc = in.Target
@@ -266,12 +287,12 @@ func (s *Sim) setFlags(a, b uint32) {
 	s.FlagV = (a^b)&(a^d)&0x80000000 != 0
 }
 
-func (s *Sim) branchTarget(in Instr) uint32 {
+func (s *Sim) branchTarget(imm int32) uint32 {
 	s.Cycles++ // taken-branch refetch
-	return s.PC + 1 + uint32(in.Imm)
+	return s.PC + 1 + uint32(imm)
 }
 
-func (s *Sim) load(in Instr) bool {
+func (s *Sim) load(in *Instr) bool {
 	addr := s.Reg[in.B] + uint32(in.Imm)
 	var v uint32
 	switch in.Op {
@@ -299,11 +320,11 @@ func (s *Sim) load(in Instr) bool {
 		// live in the code stream).
 		if addr >= codeWindow {
 			idx := (addr - codeWindow) >> 2
-			if addr&3 != 0 || int(idx) >= len(s.Code) {
+			if addr&3 != 0 || int(idx) >= s.code.Len() {
 				s.trap(backend.TrapAddress)
 				return false
 			}
-			s.Reg[in.A] = s.Code[idx]
+			s.Reg[in.A] = s.code.Word(idx)
 			s.Cycles++
 			return true
 		}
@@ -319,7 +340,7 @@ func (s *Sim) load(in Instr) bool {
 	return true
 }
 
-func (s *Sim) store(in Instr) bool {
+func (s *Sim) store(in *Instr) bool {
 	addr := s.Reg[in.B] + uint32(in.Imm)
 	if s.ProtectedHi > s.ProtectedLo && addr >= s.ProtectedLo && addr < s.ProtectedHi {
 		s.trap(backend.TrapProtected)

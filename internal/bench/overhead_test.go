@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"tnsr/internal/codefile"
 	"tnsr/internal/interp"
 	"tnsr/internal/millicode"
 	"tnsr/internal/obs"
@@ -22,8 +23,8 @@ func benchInterpLoop(b *testing.B, observe bool) {
 		m := interp.New(w.User, w.Lib)
 		if observe {
 			rec := obs.NewRecorder()
-			rec.AttachRuntime(w.User, w.Lib, 0,
-				millicode.UserCodeBase, millicode.LibCodeBase)
+			rec.Attach(obs.NewAttribution(w.User, w.Lib, [2]*codefile.AccelSection{}, 0,
+				[2]int{millicode.UserCodeBase, millicode.LibCodeBase}))
 			m.Obs = rec
 		}
 		b.StartTimer()

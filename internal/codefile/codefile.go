@@ -302,9 +302,10 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 
 // Read deserializes a codefile, verifying the per-section checksums as it
 // goes; every rejection — bad magic, unsupported version,
-// checksum mismatch, implausible count, truncation, trailing garbage — is
-// a typed *ErrCorrupt naming the section the damage was detected in, so a
-// damaged artifact can never surface as garbage structures.
+// checksum mismatch, implausible count, a main PEP naming no procedure,
+// truncation, trailing garbage — is a typed *ErrCorrupt naming the section
+// the damage was detected in, so a damaged artifact can never surface as
+// garbage structures.
 func Read(r io.Reader) (*File, error) {
 	br := newReader(r)
 	if br.u32() != magic {
@@ -365,6 +366,10 @@ func Read(r io.Reader) (*File, error) {
 	}
 	hasAccel := br.u8() == 1
 	br.seal(SecMeta)
+	if br.err == nil && int(f.MainPEP) >= len(f.Procs) {
+		br.err = corruptf(SecMeta, "main PEP %d names none of %d procedures",
+			f.MainPEP, len(f.Procs))
+	}
 
 	if hasAccel && br.err == nil {
 		a := &AccelSection{}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -269,5 +272,38 @@ func TestHandCorruptedPMapIsSafe(t *testing.T) {
 	pm = build()
 	if err := pm.Add(5000, 60, true); err == nil {
 		t.Error("out-of-range Add accepted")
+	}
+}
+
+// mainPEPOutOfRange serializes a one-procedure codefile whose main entry
+// names procedure 7: every checksum is valid, only the PEP index is wrong.
+func mainPEPOutOfRange() []byte {
+	f := &File{
+		Name:    "pep7",
+		Code:    []uint16{0x0000},
+		MainPEP: 7,
+		Procs:   []Proc{{Name: "main", Entry: 0}},
+	}
+	var buf bytes.Buffer
+	f.WriteTo(&buf)
+	return buf.Bytes()
+}
+
+// TestReadRejectsMainPEPOutOfRange: Read rejects a file whose main PEP
+// names no procedure as corrupt metadata, instead of handing the runtime
+// an index it would fault on. The same bytes are a FuzzParseCodefile seed.
+func TestReadRejectsMainPEPOutOfRange(t *testing.T) {
+	data := mainPEPOutOfRange()
+	_, err := Read(bytes.NewReader(data))
+	var ce *ErrCorrupt
+	if !errors.As(err, &ce) || ce.Section != SecMeta || !strings.Contains(ce.Detail, "main PEP 7") {
+		t.Fatalf("Read = %v, want a corrupt meta section naming main PEP 7", err)
+	}
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzParseCodefile", "main-pep-7"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data); string(seed) != want {
+		t.Errorf("fuzz seed main-pep-7 is not this file's serialization:\n%s", seed)
 	}
 }

@@ -255,13 +255,14 @@ func (d *Debugger) DisassembleTNS(space interp.Space, addr uint16, n int) string
 	return b.String()
 }
 
-// DisassembleRISC renders the translated view at the current RISC position.
+// DisassembleRISC renders the translated view at the current RISC
+// position, reading the words through the runner's image.
 func (d *Debugger) DisassembleRISC(n int) string {
-	s := d.R.Sim
+	code := d.R.Image().Code()
 	var b strings.Builder
-	for i := 0; i < n && int(s.PC)+i < len(s.Code); i++ {
-		pc := s.PC + uint32(i)
-		fmt.Fprintf(&b, "%8d: %s\n", pc, d.R.Backend().Disasm(pc, s.Code[pc]))
+	for i := 0; i < n && int(d.R.Sim.PC)+i < code.Len(); i++ {
+		pc := d.R.Sim.PC + uint32(i)
+		fmt.Fprintf(&b, "%8d: %s\n", pc, d.R.Backend().Disasm(pc, code.Word(pc)))
 	}
 	return b.String()
 }

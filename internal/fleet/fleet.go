@@ -280,10 +280,11 @@ func Run(cfg Config) (*FleetReport, error) {
 	return fr, nil
 }
 
-// buildShared compiles and accelerates the fleet's shared image, under
+// buildShared compiles and accelerates the fleet's shared codefiles, under
 // prof when non-nil. The returned files are shared READ-ONLY by every
-// standard machine; the immutability contract (sealed PMaps, copy-on-load
-// runtime images) is what makes that safe, and the fleet race tests pin it.
+// machine; the immutability contract (sealed PMaps, one immutable run
+// image per round) is what makes that safe, and the fleet race tests pin
+// it.
 func buildShared(cfg *Config, prof *pgo.Profile) (*codefile.File, *codefile.File, error) {
 	w, err := workloads.Build(cfg.Workload, cfg.TxnsPerMachine)
 	if err != nil {
@@ -321,12 +322,17 @@ func buildShared(cfg *Config, prof *pgo.Profile) (*codefile.File, *codefile.File
 }
 
 // runRound launches every machine concurrently and collects their results
-// in ID order. Chaos machines parse private mutated images; a rejected
-// image falls back to the pristine CISC view of the SHARED files — the
-// machine serves interpreted, alone in its degradation.
+// in ID order. Standard machines share one run image of the round's
+// codefiles, built here; the round holds it. Chaos machines parse private
+// mutated images and build their own; a rejected image falls back to the
+// pristine CISC view of the SHARED files — the machine serves interpreted,
+// alone in its degradation.
 func runRound(cfg *Config, round int, user, lib *codefile.File,
 	ref *chaos.Reference, oracle reference) []*machineResult {
 
+	// A shared image that fails to build leaves image nil: every standard
+	// machine then builds its own and fails with the same load error.
+	image, _ := xrun.NewImage(user, lib, cfg.Config)
 	slots := make(chan struct{}, cfg.RunSlots)
 	results := make([]*machineResult, cfg.Machines)
 	var wg sync.WaitGroup
@@ -334,6 +340,7 @@ func runRound(cfg *Config, round int, user, lib *codefile.File,
 		spec := &machineSpec{
 			id:       id,
 			workload: cfg.Workload,
+			image:    image,
 			user:     user,
 			lib:      lib,
 			ref:      oracle,
@@ -367,10 +374,12 @@ func assignMutant(spec *machineSpec, ref *chaos.Reference, seed int64, round int
 	op := chaos.Op(rng.Intn(int(chaos.NumOps)))
 	mu, err := ref.Mutate(rng, op)
 	if err != nil {
-		// Mutation machinery failed; run pristine. The machine still
-		// counts as a chaos machine, it just drew a blank round.
+		// Mutation machinery failed; run pristine on the shared image.
+		// The machine still counts as a chaos machine, it just drew a
+		// blank round.
 		return
 	}
+	spec.image = nil
 	userRaw, libRaw := mu.User, mu.Lib
 	if userRaw == nil {
 		userRaw = ref.UserRaw

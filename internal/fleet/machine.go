@@ -76,13 +76,15 @@ type machineResult struct {
 	pushErr error
 }
 
-// machineSpec is everything one machine needs for one round. The user/lib
-// files are the SHARED fleet image for standard machines (read-only by
-// contract: xrun.New, interp.New and the recorder all copy what they
-// mutate) and private parsed images for chaos machines.
+// machineSpec is everything one machine needs for one round. Standard
+// machines carry the round's SHARED run image (read-only by contract: a
+// runner owns only its data memory, interpreter and counters); a chaos
+// machine carries its private parsed user/lib files and no image, and
+// builds its own.
 type machineSpec struct {
 	id       int
 	workload string
+	image    *xrun.Image
 	user     *codefile.File
 	lib      *codefile.File
 	ref      reference
@@ -113,20 +115,25 @@ func runMachine(spec *machineSpec, slots chan struct{}) (res *machineResult) {
 		}
 	}()
 
-	// The slot gate bounds how many simulator images (about 1.2 MiB each:
-	// a 1 MiB RISC memory plus the interpreter's 128 KiB data space) are
-	// resident at once. Every machine's goroutine exists concurrently —
+	// The slot gate bounds how many runners are resident at once (about
+	// 1.35 MB each over a shared image: the 1 MiB simulator memory, the
+	// interpreter's 128 KiB data space and the R3000's cache tags; see
+	// BenchmarkRunnerNew). Every machine's goroutine exists concurrently —
 	// arrival schedules are in simulated time, so queueing behavior is
 	// unaffected by when the slot opens.
 	slots <- struct{}{}
 	defer func() { <-slots }()
 
-	r, err := xrun.New(spec.user, spec.lib, spec.cfg)
-	if err != nil {
-		res.state = Failed
-		res.stateReason = "load: " + err.Error()
-		return res
+	img := spec.image
+	if img == nil {
+		var err error
+		if img, err = xrun.NewImage(spec.user, spec.lib, spec.cfg); err != nil {
+			res.state = Failed
+			res.stateReason = "load: " + err.Error()
+			return res
+		}
 	}
+	r := img.NewRunner()
 	rec := obs.NewRecorder()
 	r.Observe(rec)
 	cap := pgo.NewCapture()

@@ -93,10 +93,14 @@ type siteStat struct {
 	count  int64
 }
 
-// procStat accumulates per-procedure instruction residency.
-type procStat struct {
-	name   string
-	space  string // "user", "lib", "milli", or "" for unattributed
+// procName names one attributed procedure.
+type procName struct {
+	name  string
+	space string // "user", "lib", "milli", or "" for unattributed
+}
+
+// procCount accumulates one procedure's instruction residency.
+type procCount struct {
 	interp int64
 	risc   int64
 }
@@ -124,11 +128,10 @@ type Recorder struct {
 
 	sites map[uint32]*siteStat // space<<16 | addr
 
-	// Attribution tables built by AttachRuntime.
-	procs      []procStat
-	interpProc [2][]int32 // per space: TNS code word -> procs index
-	riscProc   []int32    // RISC code word -> procs index
-	otherID    int32
+	// Per-procedure residency, indexed like attr's procedures. attr is
+	// the run image's shared attribution (Attach), empty until then.
+	attr   *Attribution
+	counts []procCount
 
 	// Translation phase timings, in recording order.
 	phaseNames []string
@@ -136,23 +139,49 @@ type Recorder struct {
 }
 
 // NewRecorder returns an empty recorder. It is usable immediately for
-// translation timings; call AttachRuntime before a run to enable
-// per-procedure attribution.
+// translation timings; Attach a run image's Attribution before a run to
+// enable per-procedure attribution.
 func NewRecorder() *Recorder {
-	return &Recorder{sites: map[uint32]*siteStat{}}
+	return &Recorder{sites: map[uint32]*siteStat{}, attr: &Attribution{}}
 }
 
-// AttachRuntime builds the instruction-attribution tables for a run:
-// per-space dense TNS address -> procedure maps, and a dense RISC word ->
-// procedure map derived from the acceleration sections' entry tables.
-// codeWords is the simulator's code length; userBase/libBase are the word
-// indexes the user and library translations are loaded at (millicode
-// occupies [0, userBase)). lib may be nil.
-func (r *Recorder) AttachRuntime(user, lib *codefile.File, codeWords, userBase, libBase int) {
-	r.procs = r.procs[:0]
+// Attribution maps executed instructions to procedures for one run image:
+// the procedure names, a dense TNS address -> procedure table per code
+// space, and a RISC word -> procedure table for each loaded translation.
+// It is built once per image and is immutable, so every Recorder attached
+// to the image shares it; a Recorder keeps only its counters.
+type Attribution struct {
+	procs  []procName
+	interp [2][]int32 // per space: TNS code word -> procs index
+
+	// RISC attribution over the code space [0, codeWords): millicode
+	// below userBase, then each loaded translation's region, split by its
+	// entry-point table; every other word is (other).
+	codeWords uint32
+	userBase  uint32
+	regions   [2]riscRegion
+	milliID   int32
+	otherID   int32
+}
+
+// riscRegion is one translation's RISC words, from code word base.
+type riscRegion struct {
+	base uint32
+	ids  []int32
+}
+
+// NewAttribution builds the attribution tables of a run image. user and
+// lib (lib may be nil) name the procedures. accel holds the acceleration
+// section loaded for each space, nil for a space that runs interpreted
+// (untranslated, or refused at load), and base[i] the code word it is
+// loaded at; millicode occupies [0, base[0]). codeWords is the length of
+// the code space.
+func NewAttribution(user, lib *codefile.File, accel [2]*codefile.AccelSection,
+	codeWords int, base [2]int) *Attribution {
+	a := &Attribution{codeWords: uint32(codeWords), userBase: uint32(base[0])}
 	addProc := func(name, space string) int32 {
-		r.procs = append(r.procs, procStat{name: name, space: space})
-		return int32(len(r.procs) - 1)
+		a.procs = append(a.procs, procName{name: name, space: space})
+		return int32(len(a.procs) - 1)
 	}
 
 	files := [2]*codefile.File{user, lib}
@@ -168,51 +197,63 @@ func (r *Recorder) AttachRuntime(user, lib *codefile.File, codeWords, userBase, 
 		}
 		fileIDs[sp] = ids
 	}
-	milliID := addProc("(millicode)", "milli")
-	r.otherID = addProc("(other)", "")
+	a.milliID = addProc("(millicode)", "milli")
+	a.otherID = addProc("(other)", "")
 
 	// Interpreter attribution: procedures are laid out contiguously in
 	// ascending entry order, so fill each entry's range up to the next.
 	for sp, f := range files {
 		if f == nil {
-			r.interpProc[sp] = nil
 			continue
 		}
 		ents := make([]denseEnt, 0, len(f.Procs))
 		for pi := range f.Procs {
 			ents = append(ents, denseEnt{at: int(f.Procs[pi].Entry), id: fileIDs[sp][pi]})
 		}
-		r.interpProc[sp] = fillDense(len(f.Code), ents, r.otherID)
+		a.interp[sp] = fillDense(len(f.Code), ents, a.otherID)
 	}
 
-	// RISC attribution: millicode below userBase; each translation's
-	// region is split by its absolute entry-point table.
-	r.riscProc = make([]int32, codeWords)
-	for i := range r.riscProc {
-		r.riscProc[i] = r.otherID
-	}
-	for a := 0; a < userBase && a < codeWords; a++ {
-		r.riscProc[a] = milliID
-	}
-	fillRegion := func(f *codefile.File, sp, base int) {
-		if f == nil || f.Accel == nil {
-			return
+	// RISC attribution: each loaded translation's region is split by its
+	// absolute entry-point table.
+	for sp, acc := range accel {
+		if acc == nil || files[sp] == nil {
+			continue
 		}
-		end := base + len(f.Accel.RISC)
-		if end > codeWords {
-			end = codeWords
-		}
-		ents := make([]denseEnt, 0, len(f.Accel.Entries))
-		for pi, e := range f.Accel.Entries {
+		end := min(base[sp]+len(acc.RISC), codeWords)
+		ents := make([]denseEnt, 0, len(acc.Entries))
+		for pi, e := range acc.Entries {
 			if e >= 0 && pi < len(fileIDs[sp]) {
-				ents = append(ents, denseEnt{at: int(e) - base, id: fileIDs[sp][pi]})
+				ents = append(ents, denseEnt{at: int(e) - base[sp], id: fileIDs[sp][pi]})
 			}
 		}
-		region := fillDense(end-base, ents, r.otherID)
-		copy(r.riscProc[base:end], region)
+		a.regions[sp] = riscRegion{base: uint32(base[sp]),
+			ids: fillDense(max(end-base[sp], 0), ents, a.otherID)}
 	}
-	fillRegion(user, 0, userBase)
-	fillRegion(lib, 1, libBase)
+	return a
+}
+
+// riscProc returns the procedure index of RISC code word pc, or -1 for a
+// word outside the code space.
+func (a *Attribution) riscProc(pc uint32) int32 {
+	switch {
+	case pc >= a.codeWords:
+		return -1
+	case pc < a.userBase:
+		return a.milliID
+	}
+	for i := range a.regions {
+		if rg := &a.regions[i]; pc-rg.base < uint32(len(rg.ids)) {
+			return rg.ids[pc-rg.base]
+		}
+	}
+	return a.otherID
+}
+
+// Attach binds the recorder to a run image's attribution and starts its
+// per-procedure counters from zero.
+func (r *Recorder) Attach(a *Attribution) {
+	r.attr = a
+	r.counts = make([]procCount, len(a.procs))
 }
 
 type denseEnt struct {
@@ -249,17 +290,17 @@ func fillDense(n int, ents []denseEnt, def int32) []int32 {
 // given code space. Hot path: one bounds check and two increments.
 func (r *Recorder) InterpStep(space uint8, p uint16) {
 	r.InterpInstrs++
-	t := r.interpProc[space&1]
+	t := r.attr.interp[space&1]
 	if int(p) < len(t) {
-		r.procs[t[p]].interp++
+		r.counts[t[p]].interp++
 	}
 }
 
 // RISCStep records one simulated RISC instruction at code word index pc.
 func (r *Recorder) RISCStep(pc uint32) {
 	r.RISCInstrs++
-	if int(pc) < len(r.riscProc) {
-		r.procs[r.riscProc[pc]].risc++
+	if id := r.attr.riscProc(pc); id >= 0 {
+		r.counts[id].risc++
 	}
 }
 

@@ -28,7 +28,7 @@ func fixtureRecorder(t *testing.T) *Recorder {
 		},
 	}
 	rec := NewRecorder()
-	rec.AttachRuntime(user, nil, 12, 4, 100)
+	rec.Attach(NewAttribution(user, nil, [2]*codefile.AccelSection{user.Accel}, 12, [2]int{4, 100}))
 	return rec
 }
 

@@ -136,13 +136,14 @@ func (r *Recorder) Report() *Report {
 		}
 		return rep.Sites[i].Addr < rep.Sites[j].Addr
 	})
-	for _, p := range r.procs {
-		if p.interp == 0 && p.risc == 0 {
+	for i, c := range r.counts {
+		if c.interp == 0 && c.risc == 0 {
 			continue
 		}
+		p := r.attr.procs[i]
 		rep.Procs = append(rep.Procs, ProcResidency{
 			Name: p.name, Space: p.space,
-			RISCInstrs: p.risc, InterpInstrs: p.interp,
+			RISCInstrs: c.risc, InterpInstrs: c.interp,
 		})
 	}
 	sort.Slice(rep.Procs, func(i, j int) bool {

@@ -71,7 +71,7 @@ func runAsm(t *testing.T, src string, maxInstrs int64) *Sim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSim(code, 1<<16, Config{MulLatency: 12, DivLatency: 35})
+	s := newSim(code, 1<<16, Config{MulLatency: 12, DivLatency: 35})
 	if err := s.Run(maxInstrs); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestSimSyscallHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSim(code, 1<<12, Config{})
+	s := newSim(code, 1<<12, Config{})
 	var got []uint32
 	s.OnSyscall = func(s *backend.CPU, c uint32) {
 		got = append(got, c, s.Reg[RegT0])
@@ -309,7 +309,7 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSim(code, 1<<16, cfg)
+	s := newSim(code, 1<<16, cfg)
 	if err := s.Run(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestSimStoreTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSim(code, 1<<12, Config{})
+	s := newSim(code, 1<<12, Config{})
 	var trace []uint64
 	s.StoreTrace = func(a uint32, v uint16) {
 		trace = append(trace, uint64(a)<<16|uint64(v))
@@ -354,7 +354,7 @@ func TestSimBreakResumeAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSim(code, 1<<12, Config{})
+	s := newSim(code, 1<<12, Config{})
 	if err := s.Run(100); err != nil {
 		t.Fatal(err)
 	}
@@ -476,4 +476,9 @@ func TestAsmErrors(t *testing.T) {
 			t.Errorf("expected error for %q", src)
 		}
 	}
+}
+
+// newSim builds a simulator over a dense code image.
+func newSim(code []uint32, memBytes int, cfg Config) *Sim {
+	return NewSim(NewProgram(backend.FlatCode(code), cfg), memBytes)
 }

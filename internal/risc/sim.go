@@ -88,11 +88,49 @@ func (c *cache) access(addr uint32) bool {
 // tables are stored in the code stream and read through this window).
 const CodeWindowBase = 0x01000000
 
+// Program is a code image decoded once for the R3000 simulator under one
+// timing configuration. Each instruction is stored with the mask of the
+// general registers it reads, so the load-use interlock is one AND. A
+// Program is immutable and shared by every simulator built from it.
+type Program struct {
+	code *backend.CodeImage
+	ins  backend.Decoded[decoded]
+	cfg  Config
+}
+
+// decoded is one instruction in the simulator's form.
+type decoded struct {
+	Instr
+	uses uint32 // bit r set when the instruction reads general register r
+}
+
+// NewProgram decodes the populated words of code once.
+func NewProgram(code *backend.CodeImage, cfg Config) *Program {
+	var buf []uint8
+	return &Program{code: code, cfg: cfg,
+		ins: backend.DecodeCode(code, func(w uint32) decoded {
+			in := Decode(w)
+			d := decoded{Instr: in}
+			buf = in.Uses(buf[:0])
+			for _, u := range buf {
+				d.uses |= 1 << u
+			}
+			return d
+		})}
+}
+
+// Code returns the raw words the program was decoded from.
+func (p *Program) Code() *backend.CodeImage { return p.code }
+
+// NewSim constructs a simulator over the program (backend.Program).
+func (p *Program) NewSim(memBytes int) backend.Sim { return NewSim(p, memBytes) }
+
 // Sim is the RISC processor simulator. Code is held separately from data
-// memory; PC values are word indexes into Code, and register-held code
-// addresses (for JR/JALR) are byte addresses, i.e. 4 times the word index.
+// memory, decoded, in the shared Program; PC values are word indexes into
+// the code space, and register-held code addresses (for JR/JALR) are byte
+// addresses, i.e. 4 times the word index.
 type Sim struct {
-	// CPU is the backend-shared simulator state (code, memory, the 32
+	// CPU is the backend-shared simulator state (memory, the 32
 	// registers, PC, stop/breakpoint/observation protocol); embedding it
 	// keeps the historical s.Reg / s.PC / s.Stopped spellings working
 	// and satisfies the backend.Sim interface's Core method.
@@ -106,28 +144,27 @@ type Sim struct {
 	ICacheMisses int64
 	DCacheMisses int64
 
-	cfg     Config
-	icache  *cache
-	dcache  *cache
-	skipBP  bool
-	npc     uint32
-	loadReg int   // register written by the immediately preceding load
-	mdReady int64 // cycle at which HI/LO become available
-	uses    []uint8
+	ins      backend.Decoded[decoded] // the program's, shared read-only
+	code     *backend.CodeImage
+	cfg      Config
+	icache   *cache
+	dcache   *cache
+	skipBP   bool
+	npc      uint32
+	loadMask uint32 // bit of the register the immediately preceding load wrote
+	mdReady  int64  // cycle at which HI/LO become available
 }
 
-// NewSim creates a simulator with the given code, a data memory of memBytes
-// bytes, and timing config.
-func NewSim(code []uint32, memBytes int, cfg Config) *Sim {
+// NewSim creates a simulator over a decoded program with a data memory of
+// memBytes bytes, timed by the program's config.
+func NewSim(p *Program, memBytes int) *Sim {
 	return &Sim{
-		CPU: backend.CPU{
-			Code: code,
-			Mem:  make([]byte, memBytes),
-		},
-		cfg:     cfg,
-		icache:  newCache(cfg.ICache),
-		dcache:  newCache(cfg.DCache),
-		loadReg: -1,
+		CPU:    backend.CPU{Mem: make([]byte, memBytes)},
+		ins:    p.ins,
+		code:   p.code,
+		cfg:    p.cfg,
+		icache: newCache(p.cfg.ICache),
+		dcache: newCache(p.cfg.DCache),
 	}
 }
 
@@ -139,7 +176,7 @@ func (s *Sim) ResumeAt(pc uint32) {
 	s.Stopped = false
 	s.BreakCode = 0
 	s.Trap = TrapNone
-	s.loadReg = -1
+	s.loadMask = 0
 	s.BPHit = false
 	s.skipBP = true
 }
@@ -175,7 +212,7 @@ func (s *Sim) step() {
 		return
 	}
 	s.skipBP = false
-	if int(pc) >= len(s.Code) {
+	if int(pc) >= s.ins.Len() {
 		s.trap(TrapBadInstr)
 		return
 	}
@@ -183,8 +220,7 @@ func (s *Sim) step() {
 		s.ICacheMisses++
 		s.Cycles += int64(s.cfg.MissPenalty)
 	}
-	w := s.Code[pc]
-	in := Decode(w)
+	in := s.ins.At(pc)
 	s.Cycles++
 	s.Instrs++
 	if s.OnInstr != nil {
@@ -193,16 +229,12 @@ func (s *Sim) step() {
 
 	// Load-use interlock: one stall cycle if this instruction reads the
 	// register the previous instruction loaded.
-	if s.loadReg >= 0 {
-		s.uses = in.Uses(s.uses[:0])
-		for _, u := range s.uses {
-			if int(u) == s.loadReg {
-				s.Cycles++
-				s.LoadStalls++
-				break
-			}
+	if s.loadMask != 0 {
+		if in.uses&s.loadMask != 0 {
+			s.Cycles++
+			s.LoadStalls++
 		}
-		s.loadReg = -1
+		s.loadMask = 0
 	}
 
 	nextNPC := s.npc + 1
@@ -275,36 +307,36 @@ func (s *Sim) step() {
 	case LUI:
 		R[in.Rt] = uint32(in.Imm) << 16
 	case LB, LH, LW, LBU, LHU:
-		if !s.load(in) {
+		if !s.load(&in.Instr) {
 			return
 		}
 	case SB, SH, SW:
-		if !s.storeOp(in) {
+		if !s.storeOp(&in.Instr) {
 			return
 		}
 	case BEQ:
 		if R[in.Rs] == R[in.Rt] {
-			nextNPC = s.branchTarget(in)
+			nextNPC = s.branchTarget(in.Imm)
 		}
 	case BNE:
 		if R[in.Rs] != R[in.Rt] {
-			nextNPC = s.branchTarget(in)
+			nextNPC = s.branchTarget(in.Imm)
 		}
 	case BLEZ:
 		if int32(R[in.Rs]) <= 0 {
-			nextNPC = s.branchTarget(in)
+			nextNPC = s.branchTarget(in.Imm)
 		}
 	case BGTZ:
 		if int32(R[in.Rs]) > 0 {
-			nextNPC = s.branchTarget(in)
+			nextNPC = s.branchTarget(in.Imm)
 		}
 	case BLTZ:
 		if int32(R[in.Rs]) < 0 {
-			nextNPC = s.branchTarget(in)
+			nextNPC = s.branchTarget(in.Imm)
 		}
 	case BGEZ:
 		if int32(R[in.Rs]) >= 0 {
-			nextNPC = s.branchTarget(in)
+			nextNPC = s.branchTarget(in.Imm)
 		}
 	case J:
 		nextNPC = in.Target
@@ -373,11 +405,11 @@ func (s *Sim) mdStall() {
 	}
 }
 
-func (s *Sim) branchTarget(in Instr) uint32 {
+func (s *Sim) branchTarget(imm int32) uint32 {
 	// Target is relative to the instruction after the branch, whose word
 	// index is s.npc (the delay slot) plus... in MIPS terms the target is
 	// delay-slot address + 4*imm, i.e. (branch word index + 1) + imm.
-	return s.PC + 1 + uint32(in.Imm)
+	return s.PC + 1 + uint32(imm)
 }
 
 func (s *Sim) dAccess(addr uint32) {
@@ -387,7 +419,7 @@ func (s *Sim) dAccess(addr uint32) {
 	}
 }
 
-func (s *Sim) load(in Instr) bool {
+func (s *Sim) load(in *Instr) bool {
 	addr := s.Reg[in.Rs] + uint32(in.Imm)
 	var v uint32
 	switch in.Op {
@@ -412,13 +444,12 @@ func (s *Sim) load(in Instr) bool {
 	case LW:
 		if addr >= CodeWindowBase {
 			idx := (addr - CodeWindowBase) >> 2
-			if addr&3 != 0 || int(idx) >= len(s.Code) {
+			if addr&3 != 0 || int(idx) >= s.code.Len() {
 				s.trap(TrapAddress)
 				return false
 			}
-			v = s.Code[idx]
-			s.Reg[in.Rt] = v
-			s.loadReg = int(in.Rt)
+			s.Reg[in.Rt] = s.code.Word(idx)
+			s.loadMask = 1 << in.Rt
 			return true
 		}
 		if addr&3 != 0 || int(addr)+3 >= len(s.Mem) {
@@ -430,11 +461,11 @@ func (s *Sim) load(in Instr) bool {
 	}
 	s.dAccess(addr)
 	s.Reg[in.Rt] = v
-	s.loadReg = int(in.Rt)
+	s.loadMask = 1 << in.Rt
 	return true
 }
 
-func (s *Sim) storeOp(in Instr) bool {
+func (s *Sim) storeOp(in *Instr) bool {
 	addr := s.Reg[in.Rs] + uint32(in.Imm)
 	if s.ProtectedHi > s.ProtectedLo && addr >= s.ProtectedLo && addr < s.ProtectedHi {
 		s.trap(TrapProtected)

@@ -88,8 +88,9 @@ func TestDegradedRunsInterpreted(t *testing.T) {
 
 // selectiveAddup translates only the addup procedure, so every entry into
 // RISC code goes through the interpreter's entry check and is attributed to
-// addup — the precise setup the quarantine tests need.
-func selectiveAddup(t *testing.T) *Runner {
+// addup — the precise setup the quarantine tests need. Any damage words
+// are patched over addup's entry (patchEntry) before the image is built.
+func selectiveAddup(t *testing.T, damage ...uint32) *Runner {
 	t.Helper()
 	f := tnsasm.MustAssemble("mix", mixProg)
 	opts := core.Options{
@@ -98,6 +99,9 @@ func selectiveAddup(t *testing.T) *Runner {
 	}
 	if err := core.Accelerate(f, opts); err != nil {
 		t.Fatal(err)
+	}
+	if len(damage) > 0 {
+		patchEntry(t, f, "addup", damage...)
 	}
 	r, err := New(f, nil, risc.Config{})
 	if err != nil {
@@ -108,10 +112,11 @@ func selectiveAddup(t *testing.T) *Runner {
 
 // patchEntry overwrites the first translated instruction of the named
 // procedure's fragment (the register-exact point the runner enters through)
-// with the given RISC words, simulating in-memory damage to translated code.
-func patchEntry(t *testing.T, r *Runner, proc string, words ...uint32) {
+// with the given RISC words, in the user codefile's acceleration section,
+// simulating damage to translated code. Patch before building an image:
+// the image decodes the section once.
+func patchEntry(t *testing.T, f *codefile.File, proc string, words ...uint32) {
 	t.Helper()
-	f := r.User
 	i := f.ProcByName(proc)
 	if i < 0 {
 		t.Fatalf("no procedure %q", proc)
@@ -120,7 +125,7 @@ func patchEntry(t *testing.T, r *Runner, proc string, words ...uint32) {
 	if !ok {
 		t.Fatalf("%q entry not mapped", proc)
 	}
-	copy(r.Sim.Code[idx:], words)
+	copy(f.Accel.RISC[idx-millicode.UserCodeBase:], words)
 }
 
 // TestQuarantineAfterTrapStorm: a fragment that breaks with an unexpected
@@ -128,8 +133,7 @@ func patchEntry(t *testing.T, r *Runner, proc string, words ...uint32) {
 // procedure is demoted to interpreter-only — the run completes with correct
 // output and the report names the quarantined procedure.
 func TestQuarantineAfterTrapStorm(t *testing.T) {
-	r := selectiveAddup(t)
-	patchEntry(t, r, "addup", risc.EncBreak(7)) // no such break code exists
+	r := selectiveAddup(t, risc.EncBreak(7)) // no such break code exists
 	rec := obs.NewRecorder()
 	r.Observe(rec)
 	if err := r.Run(10_000_000); err != nil {
@@ -167,11 +171,10 @@ func TestQuarantineAfterTrapStorm(t *testing.T) {
 // fenced runtime-table region raises TrapProtected; the episode is rolled
 // back and, with a threshold of 1, the procedure is quarantined at once.
 func TestProtectedStoreRollsBack(t *testing.T) {
-	r := selectiveAddup(t)
-	r.QuarantineThreshold = 1
-	patchEntry(t, r, "addup",
+	r := selectiveAddup(t,
 		risc.EncImm(risc.LUI, risc.RegV, 0, int32(millicode.PtrArea>>16)),
 		risc.EncMem(risc.SW, 0, risc.RegV, 0))
+	r.QuarantineThreshold = 1
 	if err := r.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -203,15 +206,11 @@ ENDPROC
 	if err := core.Accelerate(f, core.Options{Level: codefile.LevelStmtDebug}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(f, nil, risc.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Patch the words right after the translated SVC — so the episode
 	// prints first, then stores into the protected region.
 	syscallAt := -1
-	for i := millicode.UserCodeBase; i < millicode.UserCodeBase+len(f.Accel.RISC); i++ {
-		if risc.Decode(r.Sim.Code[i]).Op == risc.SYSCALL {
+	for i, w := range f.Accel.RISC {
+		if risc.Decode(w).Op == risc.SYSCALL {
 			syscallAt = i
 			break
 		}
@@ -219,10 +218,14 @@ ENDPROC
 	if syscallAt < 0 {
 		t.Fatal("no SYSCALL in the translated fragment")
 	}
-	copy(r.Sim.Code[syscallAt+1:], []uint32{
+	copy(f.Accel.RISC[syscallAt+1:], []uint32{
 		risc.EncImm(risc.LUI, risc.RegV, 0, int32(millicode.PtrArea>>16)),
 		risc.EncMem(risc.SW, 0, risc.RegV, 0),
 	})
+	r, err := New(f, nil, risc.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rec := obs.NewRecorder()
 	r.Observe(rec)
 	if err := r.Run(10_000_000); err != nil {

@@ -45,9 +45,8 @@ func TestMirrorRollbackRestoresEpisodeWrites(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			checks := CheckMirror(t)
-			r := selectiveAddup(t)
+			r := selectiveAddup(t, append(episodeWrites(), c.trap...)...)
 			r.QuarantineThreshold = c.threshold
-			patchEntry(t, r, "addup", append(episodeWrites(), c.trap...)...)
 			if err := r.Run(10_000_000); err != nil {
 				t.Fatal(err)
 			}

@@ -2,13 +2,15 @@
 // translated RISC code at full speed, with automatic switches into the TNS
 // interpreter at puzzle points and automatic recovery back into RISC code at
 // the next call or return that finds a register-exact point in the PMap. It
-// builds the runtime image (millicode, translated code, packed PMaps, EMaps),
-// mediates the BREAK/SYSCALL protocol, and accounts cycles separately per
-// execution mode so "time spent in interpreter mode" is measurable, as in
-// the paper.
+// builds the run image once per codefile pair (millicode, translated code
+// decoded for the target, packed PMaps, EMaps, attribution tables) and
+// shares it across every runner of that pair, mediates the BREAK/SYSCALL
+// protocol, and accounts cycles separately per execution mode so "time
+// spent in interpreter mode" is measurable, as in the paper.
 package xrun
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -40,9 +42,10 @@ type Runner struct {
 	User *codefile.File
 	Lib  *codefile.File
 
-	// Sim is the shared simulator state (registers, memory, code image,
-	// stop/breakpoint protocol) of whichever backend the accelerated
-	// sections were encoded for; sim is the backend simulator driving it.
+	// Sim is the simulator state (registers, memory, stop/breakpoint
+	// protocol) of whichever backend the accelerated sections were encoded
+	// for; sim is the backend simulator driving it over the image's
+	// decoded code.
 	Sim *backend.CPU
 	Int *interp.Machine
 
@@ -82,9 +85,10 @@ type Runner struct {
 	// costs one comparison per transition site.
 	PGO *pgo.Capture
 
-	// Degradation state. Degraded is set when an acceleration section
-	// failed codefile verification at New time and the affected space
-	// runs fully interpreted; DegradedReason carries the typed detail.
+	// Degradation state, copied from the image. Degraded is set when an
+	// acceleration section failed codefile verification when the image
+	// was built and the affected space runs fully interpreted;
+	// DegradedReason carries the typed detail.
 	Degraded       bool
 	DegradedReason string
 
@@ -96,8 +100,7 @@ type Runner struct {
 	// RollbackLog records recent rollback diagnostics (capped).
 	RollbackLog []string
 
-	accel    [2]*codefile.AccelSection // verified sections by space; nil = unusable
-	degraded [2]bool                   // space's section failed Verify
+	img *Image // shared, read-only
 
 	quarTraps   map[uint32]int64 // quarKey -> rolled-back traps
 	quarantined map[uint32]bool  // quarKey -> demoted to interpreter-only
@@ -112,8 +115,6 @@ type Runner struct {
 
 	inRISC  bool
 	skipBP  bool
-	cfg     risc.Config
-	be      backend.Backend
 	sim     backend.Sim
 	noEnter obs.EscapeReason // why the last enterRISCIfMapped refused
 }
@@ -124,28 +125,66 @@ func quarKey(space interp.Space, proc int) uint32 {
 	return uint32(space&1)<<31 | (uint32(proc) & 0x7FFFFFFF)
 }
 
-// New builds the runtime image. Either or both codefiles may be
-// accelerated; unaccelerated files simply run interpreted. An acceleration
-// section that fails structural verification is dropped rather than
-// failing the load — the CISC image is intact and authoritative, so the
-// affected space runs fully interpreted (Degraded is set and every refused
-// re-entry is classified obs.EscapeQuarantined).
+// Image is the immutable part of a mixed-mode run of one (user, lib,
+// timing config) triple: the verified acceleration sections and why any
+// was refused, the resolved backend, the code space decoded once for it,
+// the packed runtime tables with their pointer words and fence, and the
+// attribution tables. NewImage builds it once; every Runner made from it
+// (NewRunner) shares it read-only and owns only its data memory, its
+// interpreter, its caches and its counters. An Image is safe for
+// concurrent use; whoever shares one holds it.
+type Image struct {
+	user, lib *codefile.File
+
+	accel          [2]*codefile.AccelSection // loaded sections by space; nil = interpreted
+	degraded       [2]bool                   // space's section was refused
+	degradedReason string
+
+	be     backend.Backend
+	prog   backend.Program
+	tables []byte // data memory from millicode.PtrArea: pointer words, packed tables
+	attr   *obs.Attribution
+}
+
+// New builds a runner over a private image: NewImage, then NewRunner.
+// Either or both codefiles may be accelerated; unaccelerated files simply
+// run interpreted. An acceleration section that fails structural
+// verification is dropped rather than failing the load — the CISC image
+// is intact and authoritative, so the affected space runs fully
+// interpreted (Degraded is set and every refused re-entry is classified
+// obs.EscapeQuarantined).
 func New(user, lib *codefile.File, cfg risc.Config) (*Runner, error) {
-	r := &Runner{User: user, Lib: lib, cfg: cfg,
-		QuarantineThreshold: DefaultQuarantineThreshold}
+	img, err := NewImage(user, lib, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return img.NewRunner(), nil
+}
+
+// NewImage verifies the acceleration sections, resolves the target
+// backend, decodes the populated code once and lays out the runtime
+// tables and the attribution tables. The codefiles must stay unmodified
+// while the image is in use. It fails only for a user codefile whose main
+// entry names no procedure.
+func NewImage(user, lib *codefile.File, cfg risc.Config) (*Image, error) {
+	if int(user.MainPEP) >= len(user.Procs) {
+		return nil, fmt.Errorf("xrun: main PEP %d names none of %d procedures",
+			user.MainPEP, len(user.Procs))
+	}
+	img := &Image{user: user, lib: lib}
 
 	if user.Accel != nil {
 		if err := user.Accel.Verify(user, millicode.UserCodeBase); err != nil {
-			r.setDegraded("user", err)
+			img.setDegraded(0, err)
 		} else {
-			r.accel[0] = user.Accel
+			img.accel[0] = user.Accel
 		}
 	}
 	if lib != nil && lib.Accel != nil {
 		if err := lib.Accel.Verify(lib, millicode.LibCodeBase); err != nil {
-			r.setDegraded("lib", err)
+			img.setDegraded(1, err)
 		} else {
-			r.accel[1] = lib.Accel
+			img.accel[1] = lib.Accel
 		}
 	}
 
@@ -155,93 +194,126 @@ func New(user, lib *codefile.File, cfg risc.Config) (*Runner, error) {
 	// different targets the library is dropped (one simulator drives
 	// both spaces). With no accelerated sections the MIPS default
 	// stands, timing-configured by cfg.
-	for i, space := range spaceNames {
-		a := r.accel[i]
+	for i, a := range img.accel {
 		if a == nil {
 			continue
 		}
 		if _, ok := backend.ByID(a.BackendID); !ok {
-			r.setDegraded(space, fmt.Errorf("xrun: unknown backend ID %d", a.BackendID))
-			r.accel[i] = nil
+			img.setDegraded(i, fmt.Errorf("xrun: unknown backend ID %d", a.BackendID))
+			img.accel[i] = nil
 		}
 	}
-	if r.accel[0] != nil && r.accel[1] != nil &&
-		r.accel[0].BackendID != r.accel[1].BackendID {
-		r.setDegraded("lib", fmt.Errorf("xrun: backend mismatch: user ID %d, lib ID %d",
-			r.accel[0].BackendID, r.accel[1].BackendID))
-		r.accel[1] = nil
+	if img.accel[0] != nil && img.accel[1] != nil &&
+		img.accel[0].BackendID != img.accel[1].BackendID {
+		img.setDegraded(1, fmt.Errorf("xrun: backend mismatch: user ID %d, lib ID %d",
+			img.accel[0].BackendID, img.accel[1].BackendID))
+		img.accel[1] = nil
 	}
-	r.be = mips.New(cfg)
-	for i := 0; i < 2; i++ {
-		if r.accel[i] != nil && r.accel[i].BackendID != mips.BackendID {
-			r.be, _ = backend.ByID(r.accel[i].BackendID)
+	img.be = mips.New(cfg)
+	for _, a := range img.accel {
+		if a != nil && a.BackendID != mips.BackendID {
+			img.be, _ = backend.ByID(a.BackendID)
 			break
 		}
 	}
 
-	milli, _ := r.be.Millicode()
+	// The code space runs to the end of the last loaded section (to the
+	// user base when nothing is loaded); only millicode and the loaded
+	// sections are stored.
+	milli, _ := img.be.Millicode()
+	segs := []backend.Segment{{Words: milli}}
 	codeLen := millicode.UserCodeBase
-	if r.accel[0] != nil {
-		codeLen = millicode.UserCodeBase + len(r.accel[0].RISC)
+	bases := [2]int{millicode.UserCodeBase, millicode.LibCodeBase}
+	for i, a := range img.accel {
+		if a != nil {
+			segs = append(segs, backend.Segment{Base: uint32(bases[i]), Words: a.RISC})
+			codeLen = bases[i] + len(a.RISC)
+		}
 	}
-	if r.accel[1] != nil {
-		codeLen = millicode.LibCodeBase + len(r.accel[1].RISC)
-	}
-	code := make([]uint32, codeLen)
-	copy(code, milli)
-	if r.accel[0] != nil {
-		copy(code[millicode.UserCodeBase:], r.accel[0].RISC)
-	}
-	if r.accel[1] != nil {
-		copy(code[millicode.LibCodeBase:], r.accel[1].RISC)
-	}
+	img.prog = img.be.Load(backend.NewCodeImage(codeLen, segs...))
 
-	r.sim = r.be.NewSim(code, millicode.MemBytes)
-	r.Sim = r.sim.Core()
-	r.Int = interp.New(user, lib)
-	r.Sim.OnSyscall = r.onSyscall
-
-	// Lay out the runtime tables.
-	next := uint32(millicode.TableArea)
+	// Lay out the runtime tables: the pointer words, then each loaded
+	// section's packed PMap and EMap from TableArea, word-aligned.
+	img.tables = make([]byte, millicode.TableArea-millicode.PtrArea)
 	place := func(b []byte) uint32 {
-		addr := next
-		copy(r.Sim.Mem[addr:], b)
-		next = (addr + uint32(len(b)) + 3) &^ 3
+		addr := millicode.PtrArea + uint32(len(img.tables))
+		img.tables = append(img.tables, b...)
+		for len(img.tables)%4 != 0 {
+			img.tables = append(img.tables, 0)
+		}
 		return addr
 	}
-	writePtr := func(at, v uint32) { r.Sim.WriteWord(at, v) }
+	ptrs := [2][3]uint32{
+		{millicode.PtrUserPMapBase, millicode.PtrUserPMapOff, millicode.PtrUserEMap},
+		{millicode.PtrLibPMapBase, millicode.PtrLibPMapOff, millicode.PtrLibEMap},
+	}
+	for i, a := range img.accel {
+		if a == nil {
+			continue
+		}
+		pm := a.PMap.Pack()
+		pmAddr := place(pm)
+		img.putPtr(ptrs[i][0], pmAddr+4)
+		img.putPtr(ptrs[i][1], pmAddr+4+4*binary.BigEndian.Uint32(pm))
+		img.putPtr(ptrs[i][2], place(packEMap(a.Entries)))
+	}
 
-	if r.accel[0] != nil {
-		pm := r.accel[0].PMap.Pack()
-		pmAddr := place(pm)
-		writePtr(millicode.PtrUserPMapBase, pmAddr+4)
-		writePtr(millicode.PtrUserPMapOff, pmAddr+4+4*uint32(beU32(pm, 0)))
-		writePtr(millicode.PtrUserEMap, place(packEMap(r.accel[0].Entries)))
+	img.attr = obs.NewAttribution(user, lib, img.accel, codeLen, bases)
+	return img, nil
+}
+
+// putPtr stores a big-endian pointer word at data address at.
+func (img *Image) putPtr(at, v uint32) {
+	binary.BigEndian.PutUint32(img.tables[at-millicode.PtrArea:], v)
+}
+
+// setDegraded records a refused section; the space runs interpreted for
+// every run of the image.
+func (img *Image) setDegraded(space int, err error) {
+	img.degraded[space] = true
+	if img.degradedReason != "" {
+		img.degradedReason += "; "
 	}
-	if r.accel[1] != nil {
-		pm := r.accel[1].PMap.Pack()
-		pmAddr := place(pm)
-		writePtr(millicode.PtrLibPMapBase, pmAddr+4)
-		writePtr(millicode.PtrLibPMapOff, pmAddr+4+4*uint32(beU32(pm, 0)))
-		writePtr(millicode.PtrLibEMap, place(packEMap(r.accel[1].Entries)))
-	}
+	img.degradedReason += spaceNames[space] + ": " + err.Error()
+}
+
+// Code returns the image's code space: millicode and the loaded sections
+// at their load addresses.
+func (img *Image) Code() *backend.CodeImage { return img.prog.Code() }
+
+// NewRunner makes a runner over the image. It allocates the runner's own
+// state only: the simulator's data memory (with the runtime tables copied
+// in and fenced), the interpreter with its data image, and the counters.
+func (img *Image) NewRunner() *Runner {
+	r := &Runner{User: img.user, Lib: img.lib, img: img,
+		QuarantineThreshold: DefaultQuarantineThreshold,
+		Degraded:            img.degraded[0] || img.degraded[1],
+		DegradedReason:      img.degradedReason}
+	r.sim = img.prog.NewSim(millicode.MemBytes)
+	r.Sim = r.sim.Core()
+	r.Int = interp.New(img.user, img.lib)
+	r.Sim.OnSyscall = r.onSyscall
 
 	// Fence the pointer words and the packed tables against simulated
 	// stores: damaged translated code must not be able to rewrite the
 	// structures the recovery path depends on.
+	copy(r.Sim.Mem[millicode.PtrArea:], img.tables)
 	r.Sim.ProtectedLo = millicode.PtrArea
-	r.Sim.ProtectedHi = next
+	r.Sim.ProtectedHi = millicode.PtrArea + uint32(len(img.tables))
 
 	// Mirror the pages interp.New wrote (the data image and the halt
 	// marker); simulator memory starts zeroed, so every other page agrees.
 	r.syncMemToSim()
-	r.inRISC = false
-	return r, nil
+	return r
 }
 
-// Backend returns the target the runner resolved from the acceleration
-// sections' identity tags (the MIPS default when nothing is accelerated).
-func (r *Runner) Backend() backend.Backend { return r.be }
+// Image returns the shared image the runner was made from.
+func (r *Runner) Image() *Image { return r.img }
+
+// Backend returns the target the runner's image resolved from the
+// acceleration sections' identity tags (the MIPS default when nothing is
+// accelerated).
+func (r *Runner) Backend() backend.Backend { return r.img.be }
 
 // BackendSim returns the backend simulator driving r.Sim. Callers wanting
 // target-specific pipeline detail (stall and cache counters, special
@@ -249,39 +321,14 @@ func (r *Runner) Backend() backend.Backend { return r.be }
 // is on r.Sim itself.
 func (r *Runner) BackendSim() backend.Sim { return r.sim }
 
-// setDegraded records a failed section verification; the space runs
-// interpreted for the whole run.
-func (r *Runner) setDegraded(space string, err error) {
-	idx := 0
-	if space == "lib" {
-		idx = 1
-	}
-	r.degraded[idx] = true
-	r.Degraded = true
-	if r.DegradedReason != "" {
-		r.DegradedReason += "; "
-	}
-	r.DegradedReason += space + ": " + err.Error()
-}
-
-func beU32(b []byte, off int) uint32 {
-	return uint32(b[off])<<24 | uint32(b[off+1])<<16 |
-		uint32(b[off+2])<<8 | uint32(b[off+3])
-}
-
 // packEMap serializes the PEP -> RISC entry map as big-endian byte
 // addresses (0 for untranslated procedures).
 func packEMap(entries []int32) []byte {
 	out := make([]byte, 4*len(entries))
 	for i, e := range entries {
-		var v uint32
 		if e >= 0 {
-			v = uint32(e) << 2
+			binary.BigEndian.PutUint32(out[4*i:], uint32(e)<<2)
 		}
-		out[i*4] = byte(v >> 24)
-		out[i*4+1] = byte(v >> 16)
-		out[i*4+2] = byte(v >> 8)
-		out[i*4+3] = byte(v)
 	}
 	return out
 }
@@ -359,12 +406,12 @@ func (r *Runner) SetDataWord(addr, v uint16) {
 	r.Int.Dirty.MarkWord(addr)
 }
 
-// LoadedAccel returns the acceleration section the runner loaded for a
-// code space, or nil: no section, or one New refused (failed Verify,
-// unknown backend, or a library dropped for a backend mismatch). This,
-// not File.Accel, says whether the space has translated code.
+// LoadedAccel returns the acceleration section the runner's image loaded
+// for a code space, or nil: no section, or one NewImage refused (failed
+// Verify, unknown backend, or a library dropped for a backend mismatch).
+// This, not File.Accel, says whether the space has translated code.
 func (r *Runner) LoadedAccel(space interp.Space) *codefile.AccelSection {
-	return r.accel[space&1]
+	return r.img.accel[space&1]
 }
 
 // enterRISCIfMapped checks whether the interpreter's current position is a
@@ -373,7 +420,7 @@ func (r *Runner) LoadedAccel(space interp.Space) *codefile.AccelSection {
 func (r *Runner) enterRISCIfMapped() bool {
 	acc := r.LoadedAccel(r.Int.Space)
 	if acc == nil {
-		if r.degraded[r.Int.Space&1] {
+		if r.img.degraded[r.Int.Space&1] {
 			r.noEnter = obs.EscapeQuarantined
 		} else {
 			r.noEnter = obs.EscapeUntranslated
@@ -816,23 +863,11 @@ func (r *Runner) AdoptInterpreter(m *interp.Machine) {
 
 // Observe attaches rec to every layer of the runner: the interpreter and
 // simulator per-instruction hooks, the mode-transition sites, and the
-// proc-attribution tables for both code spaces. Call it once, before Run.
+// image's attribution tables for both code spaces (built once with the
+// image, describing the sections it actually loaded). Call it once,
+// before Run.
 func (r *Runner) Observe(rec *obs.Recorder) {
-	// Attribution must describe the image actually built: a section that
-	// failed verification was never loaded, so present its file accel-less.
-	user, lib := r.User, r.Lib
-	if r.degraded[0] {
-		u := *user
-		u.Accel = nil
-		user = &u
-	}
-	if lib != nil && r.degraded[1] {
-		l := *lib
-		l.Accel = nil
-		lib = &l
-	}
-	rec.AttachRuntime(user, lib, len(r.Sim.Code),
-		millicode.UserCodeBase, millicode.LibCodeBase)
+	rec.Attach(r.img.attr)
 	r.Obs = rec
 	r.Int.Obs = rec
 	r.Sim.OnInstr = rec.RISCStep
