@@ -8,9 +8,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
+	"tnsr/internal/backend"
+	"tnsr/internal/backend/mips"
+	"tnsr/internal/backend/ob0"
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
 	"tnsr/internal/millicode"
@@ -85,6 +89,64 @@ func TestMIPSBackendByteStable(t *testing.T) {
 		if _, ok := want[key]; !ok {
 			t.Errorf("%s: not in golden file (stale goldens?)", key)
 		}
+	}
+}
+
+// TestTransKeyGolden pins TransKey values across commits: the five paper
+// workloads at every level on both backends, for the user options and, where
+// the workload has a library, the library options. Keys address the xlate
+// store and the retranslation cache, so a key that moves silently orphans
+// every stored translation; TestCacheKeySensitivity compares keys within one
+// build only. Regenerate with GOLDEN_REGEN=1 (only legitimate when the key
+// is meant to move).
+func TestTransKeyGolden(t *testing.T) {
+	goldenPath := filepath.Join("testdata", "transkey_golden.json")
+	got := map[string]string{}
+	put := func(key string, opts core.Options, f *codefile.File) {
+		k, err := opts.TransKey(f.Fingerprint())
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		got[key] = k
+	}
+	for _, name := range workloads.Names {
+		w := workloads.MustBuild(name, 2)
+		for _, lvl := range []codefile.AccelLevel{
+			codefile.LevelStmtDebug, codefile.LevelDefault, codefile.LevelFast,
+		} {
+			for _, be := range []backend.Backend{mips.Default, ob0.Default} {
+				key := fmt.Sprintf("%s/%v/%s", name, lvl, be.Name())
+				put(key+"/user", core.Options{Level: lvl, Backend: be,
+					LibSummaries: w.LibSummaries}, w.User)
+				if w.Lib != nil {
+					put(key+"/lib", core.Options{Level: lvl, Backend: be,
+						CodeBase: millicode.LibCodeBase, Space: 1}, w.Lib)
+				}
+			}
+		}
+	}
+	if os.Getenv("GOLDEN_REGEN") == "1" {
+		data, _ := json.MarshalIndent(got, "", "  ")
+		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (GOLDEN_REGEN=1 writes it)", err)
+	}
+	want := map[string]string{}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		for key, k := range got {
+			if want[key] != k {
+				t.Errorf("%s: TransKey %s, golden %s", key, k, want[key])
+			}
+		}
+		t.Errorf("got %d keys, golden %d", len(got), len(want))
 	}
 }
 
