@@ -455,7 +455,7 @@ func testSparseCode(t *testing.T, be backend.Backend) {
 	)
 	t0, t1, t2 := uint8(backend.RegT0), uint8(backend.RegT0+1), uint8(backend.RegT0+2)
 	window := func(word int) []backend.Inst {
-		v := int32(millicode.CodeWindow + 4*word)
+		v := int32(backend.CodeWindow + 4*word)
 		return []backend.Inst{
 			{Op: backend.LUI, Rt: t0, Imm: v >> 16},
 			{Op: backend.ORI, Rt: t0, Rs: t0, Imm: v & 0xFFFF},

@@ -21,6 +21,12 @@ const (
 // registers); the mixed-mode driver and the debugger operate on CPU alone
 // and stay target-independent.
 //
+// CPU also owns the data-memory path every target executes loads and
+// stores through ([CPU.LoadHalf], [CPU.StoreHalf] and the other widths):
+// alignment and bounds traps, the code window, the table fence, the store
+// trace and dirty-page marking. A target keeps its decode, instruction
+// semantics and timing.
+//
 // Code is not part of CPU: it lives, decoded, in the [Program] the
 // simulator was built from and is shared by every simulator of that
 // program. PC values are word indexes into the program's code space, and
@@ -53,6 +59,7 @@ type CPU struct {
 	// check for the first instruction so execution can continue.
 	Breakpoints map[uint32]bool
 	BPHit       bool
+	SkipBP      bool // set by ResumeAt; the step clears it
 
 	// OnSyscall handles SYSCALL inline; execution continues after it
 	// returns. The 20-bit code selects the service; arguments are in
@@ -82,6 +89,136 @@ type CPU struct {
 // Core returns the shared state itself; embedding CPU therefore satisfies
 // the Sim interface's Core method for every backend simulator.
 func (c *CPU) Core() *CPU { return c }
+
+// ResumeAt clears the stop condition and continues execution at word index
+// pc on the next Run. A target with pipeline state of its own to reset
+// wraps it.
+func (c *CPU) ResumeAt(pc uint32) {
+	c.PC = pc
+	c.Stopped = false
+	c.BreakCode = 0
+	c.Trap = TrapNone
+	c.BPHit = false
+	c.SkipBP = true
+}
+
+// RaiseTrap stops execution with a trap at the current PC.
+func (c *CPU) RaiseTrap(code int) {
+	c.Trap = code
+	c.TrapPC = c.PC
+	c.Stopped = true
+}
+
+// CodeWindow maps the code space read-only into data addresses on every
+// target: code word i is a 32-bit load at CodeWindow + 4i (translated CASE
+// tables live in the code stream and are read through it).
+const CodeWindow = 0x01000000
+
+// The data-memory path. A target's step calls these directly for each
+// load and store width; the byte and halfword loads inline there. Loads
+// return the unsigned big-endian value (the target sign-extends); an
+// unaligned or out-of-range address raises TrapAddress and returns false.
+// Stores raise TrapProtected inside the fenced table region and
+// TrapAddress when unaligned or out of range, and then write nothing;
+// every store that lands marks its page dirty, and a byte or halfword
+// store reports its halfword to StoreTrace (a word store is not traced).
+
+// LoadByte reads the byte at data address addr.
+func (c *CPU) LoadByte(addr uint32) (uint32, bool) {
+	if int(addr) < len(c.Mem) {
+		return uint32(c.Mem[addr]), true
+	}
+	return c.badLoad()
+}
+
+// LoadHalf reads the halfword at data address addr.
+func (c *CPU) LoadHalf(addr uint32) (uint32, bool) {
+	if addr&1 == 0 && int(addr)+1 < len(c.Mem) {
+		return uint32(c.Mem[addr])<<8 | uint32(c.Mem[addr+1]), true
+	}
+	return c.badLoad()
+}
+
+// LoadWord reads the word at data address addr or, at or above
+// CodeWindow, the word of code there.
+func (c *CPU) LoadWord(addr uint32, code *CodeImage) (uint32, bool) {
+	if addr >= CodeWindow {
+		if i := (addr - CodeWindow) >> 2; addr&3 == 0 && int(i) < code.Len() {
+			return code.Word(i), true
+		}
+	} else if addr&3 == 0 && int(addr)+3 < len(c.Mem) {
+		m := c.Mem[addr : addr+4]
+		return uint32(m[0])<<24 | uint32(m[1])<<16 | uint32(m[2])<<8 | uint32(m[3]), true
+	}
+	return c.badLoad()
+}
+
+func (c *CPU) badLoad() (uint32, bool) {
+	c.RaiseTrap(TrapAddress)
+	return 0, false
+}
+
+// StoreByte writes the low byte of v at data address addr.
+func (c *CPU) StoreByte(addr, v uint32) bool {
+	if c.fenced(addr) || int(addr) >= len(c.Mem) {
+		return c.badStore(addr)
+	}
+	c.Mem[addr] = byte(v)
+	if c.StoreTrace != nil {
+		// Report the containing halfword so byte stores compare
+		// against the interpreter's word-level trace.
+		ha := addr &^ 1
+		c.StoreTrace(ha, uint16(c.Mem[ha])<<8|uint16(c.Mem[ha+1]))
+	}
+	c.Dirty.MarkByte(addr)
+	return true
+}
+
+// StoreHalf writes the low halfword of v at data address addr.
+func (c *CPU) StoreHalf(addr, v uint32) bool {
+	if c.fenced(addr) || addr&1 != 0 || int(addr)+1 >= len(c.Mem) {
+		return c.badStore(addr)
+	}
+	c.Mem[addr] = byte(v >> 8)
+	c.Mem[addr+1] = byte(v)
+	if c.StoreTrace != nil {
+		c.StoreTrace(addr, uint16(v))
+	}
+	c.Dirty.MarkByte(addr)
+	return true
+}
+
+// StoreWord writes v at data address addr.
+func (c *CPU) StoreWord(addr, v uint32) bool {
+	if c.fenced(addr) || addr&3 != 0 || int(addr)+3 >= len(c.Mem) {
+		return c.badStore(addr)
+	}
+	m := c.Mem[addr : addr+4]
+	m[0], m[1], m[2], m[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
+	c.Dirty.MarkByte(addr)
+	return true
+}
+
+func (c *CPU) fenced(addr uint32) bool {
+	return c.ProtectedHi > c.ProtectedLo && addr >= c.ProtectedLo && addr < c.ProtectedHi
+}
+
+func (c *CPU) badStore(addr uint32) bool {
+	if c.fenced(addr) {
+		c.RaiseTrap(TrapProtected)
+	} else {
+		c.RaiseTrap(TrapAddress)
+	}
+	return false
+}
+
+// B2U converts a comparison result to the 0/1 a set-on-less-than writes.
+func B2U(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // ReadHalf reads a big-endian halfword from data memory (host convenience).
 func (c *CPU) ReadHalf(addr uint32) uint16 {

@@ -93,7 +93,7 @@ func encodeOne(r backend.Inst, idx, base uint32,
 		if err != nil {
 			return 0, err
 		}
-		v := uint32(millicode.CodeWindow) + ((base + p) << 2)
+		v := uint32(backend.CodeWindow) + ((base + p) << 2)
 		if r.LAHi {
 			return risc.EncImm(risc.LUI, r.Rt, 0, int32(v>>16)), nil
 		}

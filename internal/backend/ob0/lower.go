@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tnsr/internal/backend"
-	"tnsr/internal/millicode"
 )
 
 // Encode lowers the virtual instruction stream to ob0 words. Unlike the
@@ -146,7 +145,7 @@ func (b *B) lowerOne(r *backend.Inst, at int32, base uint32, fuse uint8,
 		if err != nil {
 			return nil, err
 		}
-		v := uint32(millicode.CodeWindow) + ((base + uint32(p)) << 2)
+		v := uint32(backend.CodeWindow) + ((base + uint32(p)) << 2)
 		if r.LAHi {
 			return one(EncI(MVHI, r.Rt, 0, int32(v>>16)))
 		}

@@ -1,16 +1,9 @@
 package ob0
 
-import (
-	"tnsr/internal/backend"
-	"tnsr/internal/millicode"
-)
+import "tnsr/internal/backend"
 
 // BackendID is the codefile identity byte of the ob0 target.
 const BackendID uint8 = 1
-
-// codeWindow maps the code space read-only into data addresses; the base
-// is part of the cross-backend runtime contract.
-const codeWindow = millicode.CodeWindow
 
 // B implements backend.Backend for the ob0 target. It is stateless — the
 // simple timing model has no configuration.
@@ -28,7 +21,7 @@ func (b *B) Disasm(pc, w uint32) string { return Disassemble(pc, w) }
 
 // Millicode returns the assembled ob0 millicode and its entry labels.
 func (b *B) Millicode() (code []uint32, labels map[string]uint32) {
-	return BuildMillicode()
+	return milli.Build()
 }
 
 // Load decodes a code image once for the ob0 simulator.

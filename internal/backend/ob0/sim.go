@@ -27,9 +27,8 @@ type Sim struct {
 	// CMPI, tested by the conditional branches.
 	FlagZ, FlagN, FlagV bool
 
-	ins    backend.Decoded[Instr] // the program's, shared read-only
-	code   *backend.CodeImage
-	skipBP bool
+	ins  backend.Decoded[Instr] // the program's, shared read-only
+	code *backend.CodeImage
 }
 
 // Program is a code image decoded once by the strict ob0 decoder: a
@@ -57,23 +56,6 @@ func NewSim(p *Program, memBytes int) *Sim {
 	return &Sim{CPU: backend.CPU{Mem: make([]byte, memBytes)}, ins: p.ins, code: p.code}
 }
 
-// ResumeAt clears the stop condition and continues execution at the given
-// word index on the next Run.
-func (s *Sim) ResumeAt(pc uint32) {
-	s.PC = pc
-	s.Stopped = false
-	s.BreakCode = 0
-	s.Trap = backend.TrapNone
-	s.BPHit = false
-	s.skipBP = true
-}
-
-func (s *Sim) trap(code int) {
-	s.Trap = code
-	s.TrapPC = s.PC
-	s.Stopped = true
-}
-
 // Run executes instructions until a BRK, a trap, or the instruction budget
 // is exhausted (0 means unlimited). It returns an error only on runaway
 // execution past the budget.
@@ -90,14 +72,14 @@ func (s *Sim) Run(maxInstrs int64) error {
 
 func (s *Sim) step() {
 	pc := s.PC
-	if s.Breakpoints != nil && s.Breakpoints[pc] && !s.skipBP {
+	if s.Breakpoints != nil && s.Breakpoints[pc] && !s.SkipBP {
 		s.BPHit = true
 		s.Stopped = true
 		return
 	}
-	s.skipBP = false
+	s.SkipBP = false
 	if int(pc) >= s.ins.Len() {
-		s.trap(backend.TrapBadInstr)
+		s.RaiseTrap(backend.TrapBadInstr)
 		return
 	}
 	in := s.ins.At(pc)
@@ -116,7 +98,7 @@ func (s *Sim) step() {
 		a, b := R[in.B], R[in.C]
 		sum := a + b
 		if (a^sum)&(b^sum)&0x80000000 != 0 {
-			s.trap(backend.TrapOverflow)
+			s.RaiseTrap(backend.TrapOverflow)
 			return
 		}
 		R[in.A] = sum
@@ -126,7 +108,7 @@ func (s *Sim) step() {
 		a, b := R[in.B], R[in.C]
 		diff := a - b
 		if (a^b)&(a^diff)&0x80000000 != 0 {
-			s.trap(backend.TrapOverflow)
+			s.RaiseTrap(backend.TrapOverflow)
 			return
 		}
 		R[in.A] = diff
@@ -145,9 +127,9 @@ func (s *Sim) step() {
 	case ASR:
 		R[in.A] = uint32(int32(R[in.B]) >> (R[in.C] & 31))
 	case SLT:
-		R[in.A] = b2u(int32(R[in.B]) < int32(R[in.C]))
+		R[in.A] = backend.B2U(int32(R[in.B]) < int32(R[in.C]))
 	case SLTU:
-		R[in.A] = b2u(R[in.B] < R[in.C])
+		R[in.A] = backend.B2U(R[in.B] < R[in.C])
 	case CMP:
 		s.setFlags(R[in.B], R[in.C])
 	case MUL:
@@ -190,7 +172,7 @@ func (s *Sim) step() {
 		a, b := R[in.B], uint32(in.Imm)
 		sum := a + b
 		if (a^sum)&(b^sum)&0x80000000 != 0 {
-			s.trap(backend.TrapOverflow)
+			s.RaiseTrap(backend.TrapOverflow)
 			return
 		}
 		R[in.A] = sum
@@ -201,9 +183,9 @@ func (s *Sim) step() {
 	case XORI:
 		R[in.A] = R[in.B] ^ uint32(in.Imm)
 	case SLTI:
-		R[in.A] = b2u(int32(R[in.B]) < in.Imm)
+		R[in.A] = backend.B2U(int32(R[in.B]) < in.Imm)
 	case SLTIU:
-		R[in.A] = b2u(R[in.B] < uint32(in.Imm))
+		R[in.A] = backend.B2U(R[in.B] < uint32(in.Imm))
 	case LSLI:
 		R[in.A] = R[in.B] << uint32(in.Imm)
 	case LSRI:
@@ -214,14 +196,48 @@ func (s *Sim) step() {
 		R[in.A] = uint32(in.Imm) << 16
 	case CMPI:
 		s.setFlags(R[in.B], uint32(in.Imm))
-	case LDB, LDBU, LDH, LDHU, LDW:
-		if !s.load(in) {
+	case LDB, LDBU:
+		v, ok := s.LoadByte(R[in.B] + uint32(in.Imm))
+		if !ok {
 			return
 		}
-	case STB, STH, STW:
-		if !s.store(in) {
+		if in.Op == LDB {
+			v = uint32(int8(v))
+		}
+		R[in.A] = v
+		s.Cycles++
+	case LDH, LDHU:
+		v, ok := s.LoadHalf(R[in.B] + uint32(in.Imm))
+		if !ok {
 			return
 		}
+		if in.Op == LDH {
+			v = uint32(int16(v))
+		}
+		R[in.A] = v
+		s.Cycles++
+	case LDW:
+		v, ok := s.LoadWord(R[in.B]+uint32(in.Imm), s.code)
+		if !ok {
+			return
+		}
+		R[in.A] = v
+		s.Cycles++ // code window included
+	case STB:
+		if !s.StoreByte(R[in.B]+uint32(in.Imm), R[in.A]) {
+			return
+		}
+		s.Cycles++
+	case STH:
+		if !s.StoreHalf(R[in.B]+uint32(in.Imm), R[in.A]) {
+			return
+		}
+		s.Cycles++
+	case STW:
+		if !s.StoreWord(R[in.B]+uint32(in.Imm), R[in.A]) {
+			return
+		}
+		s.Cycles++
 	case BEQ:
 		if s.FlagZ {
 			npc = s.branchTarget(in.Imm)
@@ -269,7 +285,7 @@ func (s *Sim) step() {
 		s.Stopped = true
 		return // PC stays at the BRK for the host to inspect
 	default:
-		s.trap(backend.TrapBadInstr)
+		s.RaiseTrap(backend.TrapBadInstr)
 		return
 	}
 	R[0] = 0
@@ -290,104 +306,4 @@ func (s *Sim) setFlags(a, b uint32) {
 func (s *Sim) branchTarget(imm int32) uint32 {
 	s.Cycles++ // taken-branch refetch
 	return s.PC + 1 + uint32(imm)
-}
-
-func (s *Sim) load(in *Instr) bool {
-	addr := s.Reg[in.B] + uint32(in.Imm)
-	var v uint32
-	switch in.Op {
-	case LDB, LDBU:
-		if int(addr) >= len(s.Mem) {
-			s.trap(backend.TrapAddress)
-			return false
-		}
-		v = uint32(s.Mem[addr])
-		if in.Op == LDB {
-			v = uint32(int32(int8(v)))
-		}
-	case LDH, LDHU:
-		if addr&1 != 0 || int(addr)+1 >= len(s.Mem) {
-			s.trap(backend.TrapAddress)
-			return false
-		}
-		v = uint32(s.Mem[addr])<<8 | uint32(s.Mem[addr+1])
-		if in.Op == LDH {
-			v = uint32(int32(int16(v)))
-		}
-	case LDW:
-		// The code window maps the code space read-only into data
-		// addresses, same base as every backend (translated CASE tables
-		// live in the code stream).
-		if addr >= codeWindow {
-			idx := (addr - codeWindow) >> 2
-			if addr&3 != 0 || int(idx) >= s.code.Len() {
-				s.trap(backend.TrapAddress)
-				return false
-			}
-			s.Reg[in.A] = s.code.Word(idx)
-			s.Cycles++
-			return true
-		}
-		if addr&3 != 0 || int(addr)+3 >= len(s.Mem) {
-			s.trap(backend.TrapAddress)
-			return false
-		}
-		v = uint32(s.Mem[addr])<<24 | uint32(s.Mem[addr+1])<<16 |
-			uint32(s.Mem[addr+2])<<8 | uint32(s.Mem[addr+3])
-	}
-	s.Reg[in.A] = v
-	s.Cycles++
-	return true
-}
-
-func (s *Sim) store(in *Instr) bool {
-	addr := s.Reg[in.B] + uint32(in.Imm)
-	if s.ProtectedHi > s.ProtectedLo && addr >= s.ProtectedLo && addr < s.ProtectedHi {
-		s.trap(backend.TrapProtected)
-		return false
-	}
-	v := s.Reg[in.A]
-	switch in.Op {
-	case STB:
-		if int(addr) >= len(s.Mem) {
-			s.trap(backend.TrapAddress)
-			return false
-		}
-		s.Mem[addr] = byte(v)
-		if s.StoreTrace != nil {
-			// Report the containing halfword so byte stores compare
-			// against the interpreter's word-level trace.
-			ha := addr &^ 1
-			s.StoreTrace(ha, uint16(s.Mem[ha])<<8|uint16(s.Mem[ha+1]))
-		}
-	case STH:
-		if addr&1 != 0 || int(addr)+1 >= len(s.Mem) {
-			s.trap(backend.TrapAddress)
-			return false
-		}
-		s.Mem[addr] = byte(v >> 8)
-		s.Mem[addr+1] = byte(v)
-		if s.StoreTrace != nil {
-			s.StoreTrace(addr, uint16(v))
-		}
-	case STW:
-		if addr&3 != 0 || int(addr)+3 >= len(s.Mem) {
-			s.trap(backend.TrapAddress)
-			return false
-		}
-		s.Mem[addr] = byte(v >> 24)
-		s.Mem[addr+1] = byte(v >> 16)
-		s.Mem[addr+2] = byte(v >> 8)
-		s.Mem[addr+3] = byte(v)
-	}
-	s.Dirty.MarkByte(addr)
-	s.Cycles++
-	return true
-}
-
-func b2u(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -4,7 +4,7 @@
 // hand-coded RISC assembly "millicode" routines the Accelerator calls for
 // complex or long-running TNS instructions — exactly the role the paper
 // assigns to millicode. The routines are written in the risc package's
-// assembly syntax and assembled at package init.
+// assembly syntax and assembled on first use.
 //
 // # Memory layout (RISC data space, byte addresses)
 //
@@ -21,7 +21,7 @@
 //	0x080000 ..            the system library codefile's translated code
 //
 // The code space is additionally visible read-only in the data space at
-// CodeWindow (so translated CASE tables can be loaded with LW).
+// backend.CodeWindow (so translated CASE tables can be loaded with LW).
 //
 // # Register conventions at millicode entry
 //
@@ -33,8 +33,7 @@
 package millicode
 
 import (
-	"sync"
-
+	"tnsr/internal/backend"
 	"tnsr/internal/risc"
 )
 
@@ -43,17 +42,13 @@ const (
 	TNSDataBytes = 0x20000 // 64K halfwords
 
 	PtrArea         = 0x020000
-	PtrUserPMapBase = PtrArea + 0  // address of the user PMap base array
-	PtrUserPMapOff  = PtrArea + 4  // address of the user PMap offset bytes
-	PtrLibPMapBase  = PtrArea + 8  // ditto for the library (0 if none)
-	PtrLibPMapOff   = PtrArea + 12 //
-	PtrUserEMap     = PtrArea + 16 // user PEP -> RISC entry byte address
-	PtrLibEMap      = PtrArea + 20 // library PEP -> RISC entry byte address
+	PtrUserPMapBase = PtrArea + backend.PtroUserPMapBase
+	PtrUserPMapOff  = PtrArea + backend.PtroUserPMapOff
+	PtrLibPMapBase  = PtrArea + backend.PtroLibPMapBase
+	PtrLibPMapOff   = PtrArea + backend.PtroLibPMapOff
+	PtrUserEMap     = PtrArea + backend.PtroUserEMap
+	PtrLibEMap      = PtrArea + backend.PtroLibEMap
 	TableArea       = PtrArea + 64 // packed tables start here
-
-	// CodeWindow maps the RISC code space read-only into data addresses:
-	// code word i is a 32-bit load at CodeWindow + 4i.
-	CodeWindow = 0x01000000
 
 	// MemBytes is the data-memory size the runtime image allocates.
 	MemBytes = 0x100000
@@ -354,34 +349,8 @@ scnb_miss:
   ori   $cc, $z, 1
 `
 
-// Build assembles the millicode and returns its code words plus the label
-// map (word indexes relative to MilliBase, which is 0). The assembly is
-// memoized behind a sync.Once — the source is a compile-time constant, so
-// every build is identical — and each call returns private copies, so
-// callers may mutate their result freely. This keeps runner construction
-// cheap and concurrency-safe when a fleet host spins up thousands of
-// machines.
-func Build() ([]uint32, map[string]uint32) {
-	buildOnce.Do(func() {
-		builtCode, builtLabels = risc.MustAssemble(Source, map[string]uint32{
-			"PTRO_UPMAP_BASE": PtrUserPMapBase - PtrArea,
-			"PTRO_UPMAP_OFF":  PtrUserPMapOff - PtrArea,
-			"PTRO_LPMAP_BASE": PtrLibPMapBase - PtrArea,
-			"PTRO_LPMAP_OFF":  PtrLibPMapOff - PtrArea,
-			"PTRO_UEMAP":      PtrUserEMap - PtrArea,
-			"PTRO_LEMAP":      PtrLibEMap - PtrArea,
-		})
-	})
-	code := append([]uint32(nil), builtCode...)
-	labels := make(map[string]uint32, len(builtLabels))
-	for k, v := range builtLabels {
-		labels[k] = v
-	}
-	return code, labels
-}
+// Build assembles the millicode (memoized; see backend.Millicode.Build)
+// and returns its code words plus the label map.
+func Build() ([]uint32, map[string]uint32) { return lib.Build() }
 
-var (
-	buildOnce   sync.Once
-	builtCode   []uint32
-	builtLabels map[string]uint32
-)
+var lib = backend.Millicode{Source: Source, Encode: risc.EncodeLine}

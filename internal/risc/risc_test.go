@@ -471,6 +471,15 @@ func TestAsmErrors(t *testing.T) {
 		"addu $t0, $qq, $t1",
 		"lw $t0, nope",
 		"dup: nop\ndup: nop",
+		// Short operand lists are errors, not index panics.
+		"move $r0",
+		"beq $r0",
+		"lw $r0",
+		"li $t0",
+		"sll $r0, $r1",
+		"jalr $r0",
+		".word",
+		"addu $r0, $r1",
 	} {
 		if _, _, err := Assemble(src, nil); err == nil {
 			t.Errorf("expected error for %q", src)

@@ -83,11 +83,6 @@ func (c *cache) access(addr uint32) bool {
 	return false
 }
 
-// CodeWindowBase maps the code space read-only into the data address
-// space: a LW at CodeWindowBase+4i reads code word i (translated CASE
-// tables are stored in the code stream and read through this window).
-const CodeWindowBase = 0x01000000
-
 // Program is a code image decoded once for the R3000 simulator under one
 // timing configuration. Each instruction is stored with the mask of the
 // general registers it reads, so the load-use interlock is one AND. A
@@ -149,7 +144,6 @@ type Sim struct {
 	cfg      Config
 	icache   *cache
 	dcache   *cache
-	skipBP   bool
 	npc      uint32
 	loadMask uint32 // bit of the register the immediately preceding load wrote
 	mdReady  int64  // cycle at which HI/LO become available
@@ -171,20 +165,9 @@ func NewSim(p *Program, memBytes int) *Sim {
 // ResumeAt clears the stop condition and continues execution at the given
 // word index on the next Run.
 func (s *Sim) ResumeAt(pc uint32) {
-	s.PC = pc
+	s.CPU.ResumeAt(pc)
 	s.npc = pc + 1
-	s.Stopped = false
-	s.BreakCode = 0
-	s.Trap = TrapNone
 	s.loadMask = 0
-	s.BPHit = false
-	s.skipBP = true
-}
-
-func (s *Sim) trap(code int) {
-	s.Trap = code
-	s.TrapPC = s.PC
-	s.Stopped = true
 }
 
 // Run executes instructions until a BREAK, a trap, or the cycle budget is
@@ -206,14 +189,14 @@ func (s *Sim) Run(maxInstrs int64) error {
 
 func (s *Sim) step() {
 	pc := s.PC
-	if s.Breakpoints != nil && s.Breakpoints[pc] && !s.skipBP {
+	if s.Breakpoints != nil && s.Breakpoints[pc] && !s.SkipBP {
 		s.BPHit = true
 		s.Stopped = true
 		return
 	}
-	s.skipBP = false
+	s.SkipBP = false
 	if int(pc) >= s.ins.Len() {
-		s.trap(TrapBadInstr)
+		s.RaiseTrap(TrapBadInstr)
 		return
 	}
 	if s.icache != nil && !s.icache.access(pc<<2) {
@@ -256,7 +239,7 @@ func (s *Sim) step() {
 		a, b := R[in.Rs], R[in.Rt]
 		sum := a + b
 		if (a^sum)&(b^sum)&0x80000000 != 0 {
-			s.trap(TrapOverflow)
+			s.RaiseTrap(TrapOverflow)
 			return
 		}
 		R[in.Rd] = sum
@@ -266,7 +249,7 @@ func (s *Sim) step() {
 		a, b := R[in.Rs], R[in.Rt]
 		diff := a - b
 		if (a^b)&(a^diff)&0x80000000 != 0 {
-			s.trap(TrapOverflow)
+			s.RaiseTrap(TrapOverflow)
 			return
 		}
 		R[in.Rd] = diff
@@ -281,23 +264,23 @@ func (s *Sim) step() {
 	case NOR:
 		R[in.Rd] = ^(R[in.Rs] | R[in.Rt])
 	case SLT:
-		R[in.Rd] = b2u(int32(R[in.Rs]) < int32(R[in.Rt]))
+		R[in.Rd] = backend.B2U(int32(R[in.Rs]) < int32(R[in.Rt]))
 	case SLTU:
-		R[in.Rd] = b2u(R[in.Rs] < R[in.Rt])
+		R[in.Rd] = backend.B2U(R[in.Rs] < R[in.Rt])
 	case ADDI:
 		a, b := R[in.Rs], uint32(in.Imm)
 		sum := a + b
 		if (a^sum)&(b^sum)&0x80000000 != 0 {
-			s.trap(TrapOverflow)
+			s.RaiseTrap(TrapOverflow)
 			return
 		}
 		R[in.Rt] = sum
 	case ADDIU:
 		R[in.Rt] = R[in.Rs] + uint32(in.Imm)
 	case SLTI:
-		R[in.Rt] = b2u(int32(R[in.Rs]) < in.Imm)
+		R[in.Rt] = backend.B2U(int32(R[in.Rs]) < in.Imm)
 	case SLTIU:
-		R[in.Rt] = b2u(R[in.Rs] < uint32(in.Imm))
+		R[in.Rt] = backend.B2U(R[in.Rs] < uint32(in.Imm))
 	case ANDI:
 		R[in.Rt] = R[in.Rs] & uint32(in.Imm)
 	case ORI:
@@ -306,14 +289,59 @@ func (s *Sim) step() {
 		R[in.Rt] = R[in.Rs] ^ uint32(in.Imm)
 	case LUI:
 		R[in.Rt] = uint32(in.Imm) << 16
-	case LB, LH, LW, LBU, LHU:
-		if !s.load(&in.Instr) {
+	case LB, LBU:
+		addr := R[in.Rs] + uint32(in.Imm)
+		v, ok := s.LoadByte(addr)
+		if !ok {
 			return
 		}
-	case SB, SH, SW:
-		if !s.storeOp(&in.Instr) {
+		if in.Op == LB {
+			v = uint32(int8(v))
+		}
+		s.dAccess(addr)
+		R[in.Rt] = v
+		s.loadMask = 1 << in.Rt
+	case LH, LHU:
+		addr := R[in.Rs] + uint32(in.Imm)
+		v, ok := s.LoadHalf(addr)
+		if !ok {
 			return
 		}
+		if in.Op == LH {
+			v = uint32(int16(v))
+		}
+		s.dAccess(addr)
+		R[in.Rt] = v
+		s.loadMask = 1 << in.Rt
+	case LW:
+		addr := R[in.Rs] + uint32(in.Imm)
+		v, ok := s.LoadWord(addr, s.code)
+		if !ok {
+			return
+		}
+		if addr < backend.CodeWindow { // the code window bypasses the D-cache
+			s.dAccess(addr)
+		}
+		R[in.Rt] = v
+		s.loadMask = 1 << in.Rt
+	case SB:
+		addr := R[in.Rs] + uint32(in.Imm)
+		if !s.StoreByte(addr, R[in.Rt]) {
+			return
+		}
+		s.dAccess(addr)
+	case SH:
+		addr := R[in.Rs] + uint32(in.Imm)
+		if !s.StoreHalf(addr, R[in.Rt]) {
+			return
+		}
+		s.dAccess(addr)
+	case SW:
+		addr := R[in.Rs] + uint32(in.Imm)
+		if !s.StoreWord(addr, R[in.Rt]) {
+			return
+		}
+		s.dAccess(addr)
 	case BEQ:
 		if R[in.Rs] == R[in.Rt] {
 			nextNPC = s.branchTarget(in.Imm)
@@ -390,7 +418,7 @@ func (s *Sim) step() {
 		s.Stopped = true
 		return // PC stays at the BREAK for the host to inspect
 	default:
-		s.trap(TrapBadInstr)
+		s.RaiseTrap(TrapBadInstr)
 		return
 	}
 	R[0] = 0
@@ -417,102 +445,4 @@ func (s *Sim) dAccess(addr uint32) {
 		s.DCacheMisses++
 		s.Cycles += int64(s.cfg.MissPenalty)
 	}
-}
-
-func (s *Sim) load(in *Instr) bool {
-	addr := s.Reg[in.Rs] + uint32(in.Imm)
-	var v uint32
-	switch in.Op {
-	case LB, LBU:
-		if int(addr) >= len(s.Mem) {
-			s.trap(TrapAddress)
-			return false
-		}
-		v = uint32(s.Mem[addr])
-		if in.Op == LB {
-			v = uint32(int32(int8(v)))
-		}
-	case LH, LHU:
-		if addr&1 != 0 || int(addr)+1 >= len(s.Mem) {
-			s.trap(TrapAddress)
-			return false
-		}
-		v = uint32(s.Mem[addr])<<8 | uint32(s.Mem[addr+1])
-		if in.Op == LH {
-			v = uint32(int32(int16(v)))
-		}
-	case LW:
-		if addr >= CodeWindowBase {
-			idx := (addr - CodeWindowBase) >> 2
-			if addr&3 != 0 || int(idx) >= s.code.Len() {
-				s.trap(TrapAddress)
-				return false
-			}
-			s.Reg[in.Rt] = s.code.Word(idx)
-			s.loadMask = 1 << in.Rt
-			return true
-		}
-		if addr&3 != 0 || int(addr)+3 >= len(s.Mem) {
-			s.trap(TrapAddress)
-			return false
-		}
-		v = uint32(s.Mem[addr])<<24 | uint32(s.Mem[addr+1])<<16 |
-			uint32(s.Mem[addr+2])<<8 | uint32(s.Mem[addr+3])
-	}
-	s.dAccess(addr)
-	s.Reg[in.Rt] = v
-	s.loadMask = 1 << in.Rt
-	return true
-}
-
-func (s *Sim) storeOp(in *Instr) bool {
-	addr := s.Reg[in.Rs] + uint32(in.Imm)
-	if s.ProtectedHi > s.ProtectedLo && addr >= s.ProtectedLo && addr < s.ProtectedHi {
-		s.trap(TrapProtected)
-		return false
-	}
-	v := s.Reg[in.Rt]
-	switch in.Op {
-	case SB:
-		if int(addr) >= len(s.Mem) {
-			s.trap(TrapAddress)
-			return false
-		}
-		s.Mem[addr] = byte(v)
-		if s.StoreTrace != nil {
-			// Report the containing halfword so byte stores compare
-			// against the interpreter's word-level trace.
-			ha := addr &^ 1
-			s.StoreTrace(ha, uint16(s.Mem[ha])<<8|uint16(s.Mem[ha+1]))
-		}
-	case SH:
-		if addr&1 != 0 || int(addr)+1 >= len(s.Mem) {
-			s.trap(TrapAddress)
-			return false
-		}
-		s.Mem[addr] = byte(v >> 8)
-		s.Mem[addr+1] = byte(v)
-		if s.StoreTrace != nil {
-			s.StoreTrace(addr, uint16(v))
-		}
-	case SW:
-		if addr&3 != 0 || int(addr)+3 >= len(s.Mem) {
-			s.trap(TrapAddress)
-			return false
-		}
-		s.Mem[addr] = byte(v >> 24)
-		s.Mem[addr+1] = byte(v >> 16)
-		s.Mem[addr+2] = byte(v >> 8)
-		s.Mem[addr+3] = byte(v)
-	}
-	s.Dirty.MarkByte(addr)
-	s.dAccess(addr)
-	return true
-}
-
-func b2u(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
 }
