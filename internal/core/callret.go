@@ -228,7 +228,7 @@ func (t *translator) transCall(addr uint16, in tns.Instr) {
 	f.li(risc.RegT0, int32(addr)+1)
 	f.li(risc.RegT0+1, int32(in.Target))
 	f.li(risc.RegMT, int32(addr)) // fallback redoes the SCAL
-	f.jAbs(risc.J, t.opts.MilliLabels[millicode.LScal])
+	f.jAbs(risc.J, t.ctx.milli[millicode.LScal])
 	f.nop()
 }
 
@@ -268,7 +268,7 @@ func (t *translator) transXCAL(addr uint16) {
 	f.li(risc.RegT0, int32(addr)+1)
 	f.move(risc.RegT0+1, pl)
 	f.li(risc.RegMT, int32(addr)) // fallback redoes the XCAL
-	f.jAbs(risc.J, t.opts.MilliLabels[millicode.LXcal])
+	f.jAbs(risc.J, t.ctx.milli[millicode.LXcal])
 	f.nop()
 }
 
@@ -391,7 +391,7 @@ func (t *translator) transExit(addr uint16, in tns.Instr) {
 	}
 	s.canonicalize(mask)
 	t.f.li(risc.RegT0, int32(in.Target)) // argument words to cut
-	t.f.jAbs(risc.J, t.opts.MilliLabels[millicode.LExit])
+	t.f.jAbs(risc.J, t.ctx.milli[millicode.LExit])
 	t.f.nop()
 }
 

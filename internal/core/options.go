@@ -62,10 +62,6 @@ type Options struct {
 	// millicode.LibCodeBase).
 	CodeBase uint32
 
-	// MilliLabels maps millicode entry names to absolute RISC word
-	// indexes (from millicode.Build; the millicode is loaded at 0).
-	MilliLabels map[string]uint32
-
 	// Space is the codefile's code-space bit (0 user, 1 library), stored
 	// into $env by prologues so stack markers record the right space.
 	Space uint8
@@ -206,13 +202,14 @@ func (o Options) TransKey(fileFingerprint uint64) (string, error) {
 		}
 	}
 	{
-		keys := make([]string, 0, len(o.MilliLabels))
-		for k := range o.MilliLabels {
+		_, milli := o.Backend.Millicode()
+		keys := make([]string, 0, len(milli))
+		for k := range milli {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			put("milli", k, o.MilliLabels[k])
+			put("milli", k, milli[k])
 		}
 	}
 	if o.Profile != nil {
@@ -234,10 +231,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Backend == nil {
 		o.Backend = mips.Default
-	}
-	if o.MilliLabels == nil {
-		_, labels := o.Backend.Millicode()
-		o.MilliLabels = labels
 	}
 	if o.CodeBase == 0 {
 		o.CodeBase = millicode.UserCodeBase

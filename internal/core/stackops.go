@@ -613,7 +613,7 @@ func (t *translator) transMove(addr uint16, op uint8) {
 	if op == tns.OpMOVW {
 		lbl = millicode.LMovw
 	}
-	f.jAbs(risc.JAL, t.opts.MilliLabels[lbl])
+	f.jAbs(risc.JAL, t.ctx.milli[lbl])
 	f.nop()
 	t.afterMilli()
 	s.invalidateLoads(true)
@@ -634,7 +634,7 @@ func (t *translator) transCMPB(addr uint16) {
 	t.milliBarrier()
 	t.argMoves([]uint8{risc.RegT0, risc.RegT0 + 1, risc.RegT0 + 2},
 		[]uint8{a, b, cnt})
-	f.jAbs(risc.JAL, t.opts.MilliLabels[millicode.LCmpb])
+	f.jAbs(risc.JAL, t.ctx.milli[millicode.LCmpb])
 	f.nop()
 	t.afterMilli()
 	s.cc = ccState{kind: ccIn}
@@ -655,7 +655,7 @@ func (t *translator) transSCNB(addr uint16) {
 	t.milliBarrier()
 	t.argMoves([]uint8{risc.RegT0, risc.RegT0 + 1, risc.RegT0 + 2},
 		[]uint8{ba, test, limit})
-	f.jAbs(risc.JAL, t.opts.MilliLabels[millicode.LScnb])
+	f.jAbs(risc.JAL, t.ctx.milli[millicode.LScnb])
 	f.nop()
 	t.afterMilli()
 	// Result (skip count) arrives in $t0.

@@ -19,6 +19,9 @@ import (
 type transCtx struct {
 	p    *program
 	opts *Options
+	// milli maps the millicode entry labels to absolute RISC word indexes
+	// (the backend's millicode is loaded at 0).
+	milli map[string]uint32
 
 	// stmtAt marks statement-boundary addresses.
 	stmtAt map[uint16]bool
@@ -38,6 +41,7 @@ func newTransCtx(p *program, opts *Options) *transCtx {
 		entryOf:     map[uint16]int{},
 		procEntryAt: map[uint16]bool{},
 	}
+	_, c.milli = opts.Backend.Millicode()
 	for _, st := range p.file.Statements {
 		c.stmtAt[st.Addr] = true
 	}

@@ -100,10 +100,10 @@ const (
 )
 
 // EncodeRequest converts local translation options to the wire form.
-// Options with no wire representation (Workers, Sched, Obs, MilliLabels,
-// CodeBase) are dropped: the first three don't affect output, and the last
-// two are derived deterministically on both sides (millicode.Build and the
-// Space bit), so the server's TransKey matches the client's.
+// Options with no wire representation (Workers, Sched, Obs, CodeBase) are
+// dropped: the first three don't affect output, and CodeBase is derived
+// deterministically on both sides (from the Space bit), so the server's
+// TransKey matches the client's.
 func EncodeRequest(f *codefile.File, opts core.Options) (*SubmitRequest, error) {
 	req := &SubmitRequest{
 		Schema:             SubmitSchema,
