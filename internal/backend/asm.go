@@ -102,9 +102,7 @@ func (a *Asm) scan(src string, enc Encoder, emit bool) error {
 
 // instr assembles one instruction line. The word encoders panic on
 // out-of-range fields (their callers inside the lowerers guarantee ranges),
-// so a panic here is the line's error, not a crash. No word is emitted
-// before the panic point, so the two-pass width accounting stays
-// consistent on the error path.
+// so a panic here is the line's error, not a crash.
 func (a *Asm) instr(line string, enc Encoder) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
