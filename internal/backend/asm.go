@@ -8,8 +8,24 @@ import (
 
 // An Encoder assembles one instruction line of a target's assembly
 // language: op is its lower-cased mnemonic. It reads the line's operands
-// through a's operand methods and appends the line's words with Put.
+// through a's operand methods, naming the Field each one fills, and
+// appends the line's words with Put.
 type Encoder func(a *Asm, op string) error
+
+// A Field is the range of values an operand's instruction field holds,
+// [Lo, Hi]. The operand methods check it, so a value that does not fit is
+// the line's error rather than a field truncated in the word.
+type Field struct{ Lo, Hi int64 }
+
+// The fields of both targets' encodings.
+var (
+	Signed16   = Field{-1 << 15, 1<<15 - 1}  // sign-extended immediates, memory offsets, branch displacements
+	Unsigned16 = Field{0, 1<<16 - 1}        // zero-extended immediates and upper halves
+	Shift5     = Field{0, 31}               // shift amounts
+	Code20     = Field{0, 1<<20 - 1}        // BREAK and SYSCALL codes
+	Target26   = Field{0, 1<<26 - 1}        // absolute jump targets (word indexes)
+	Word32     = Field{-1 << 31, 1<<32 - 1} // a whole word, read signed or unsigned (li, .word)
+)
 
 // Asm is the target-independent assembler front end every target's
 // assembler shares; [Assemble] drives it with the target's [Encoder].
@@ -43,8 +59,8 @@ type Asm struct {
 // labels or absolute word indexes.
 //
 // A malformed line is an error naming the line: a missing or bad operand,
-// an unknown mnemonic, or a field the target's word encoders reject by
-// panicking (an out-of-range displacement, say).
+// an operand that does not fit its field, an unknown mnemonic, or a field
+// the target's word encoders reject by panicking.
 func Assemble(src string, extern map[string]uint32, enc Encoder) ([]uint32, map[string]uint32, error) {
 	a := &Asm{labels: map[string]uint32{}, extern: extern}
 	// Pass 1: measure, collect labels.
@@ -119,7 +135,7 @@ func (a *Asm) instr(line string, enc Encoder) (err error) {
 	}
 	a.err = nil
 	if op == ".word" {
-		a.Put(uint32(a.Imm(0)))
+		a.Put(uint32(a.Imm(0, Word32)))
 	} else {
 		err = enc(a, op)
 	}
@@ -152,6 +168,16 @@ func (a *Asm) fail(err error) {
 	if a.err == nil {
 		a.err = err
 	}
+}
+
+// fit returns v if it lies in f; otherwise it records the line's error
+// and returns 0. what names the operand.
+func (a *Asm) fit(v int64, f Field, what string) int64 {
+	if v < f.Lo || v > f.Hi {
+		a.fail(fmt.Errorf("%s %d out of range [%d, %d]", what, v, f.Lo, f.Hi))
+		return 0
+	}
+	return v
 }
 
 var regNames = func() map[string]uint8 {
@@ -189,13 +215,13 @@ func (a *Asm) reg(s string) uint8 {
 	return r
 }
 
-// Imm parses operand i as an immediate.
-func (a *Asm) Imm(i int) int64 {
+// Imm parses operand i as an immediate that must fit f.
+func (a *Asm) Imm(i int, f Field) int64 {
 	s, ok := a.operand(i)
 	if !ok {
 		return 0
 	}
-	return a.imm(s)
+	return a.fit(a.imm(s), f, "immediate")
 }
 
 func (a *Asm) imm(s string) int64 {
@@ -229,9 +255,9 @@ func (a *Asm) imm(s string) int64 {
 	return v
 }
 
-// Mem parses operand i as a memory operand "off(base)"; off is optional
-// and may be a named constant.
-func (a *Asm) Mem(i int) (off int32, base uint8) {
+// Mem parses operand i as a memory operand "off(base)"; off is optional,
+// may be a named constant, and must fit f.
+func (a *Asm) Mem(i int, f Field) (off int32, base uint8) {
 	s, ok := a.operand(i)
 	if !ok {
 		return 0, 0
@@ -243,17 +269,18 @@ func (a *Asm) Mem(i int) (off int32, base uint8) {
 		return 0, 0
 	}
 	if l > 0 {
-		off = int32(a.imm(s[:l]))
+		off = int32(a.fit(a.imm(s[:l]), f, "offset"))
 	}
 	return off, a.reg(s[l+1 : r])
 }
 
 // Disp parses operand i as a branch target and returns its displacement
-// in words from the instruction after the branch (0 in pass 1).
-func (a *Asm) Disp(i int) int32 {
-	t := a.Imm(i)
-	if !a.emit {
+// in words from the instruction after the branch, which must fit f (0 in
+// pass 1, where the target may be a label not yet defined).
+func (a *Asm) Disp(i int, f Field) int32 {
+	s, ok := a.operand(i)
+	if !ok || !a.emit {
 		return 0
 	}
-	return int32(t) - int32(a.pc) - 1
+	return int32(a.fit(a.imm(s)-int64(a.pc)-1, f, "branch displacement"))
 }

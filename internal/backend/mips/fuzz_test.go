@@ -57,6 +57,16 @@ table:
 		"addu-short":   "addu $r0, $r1\n",
 		"bad-reg":      "addu $q, $t0, $t1\n",
 		"imm-overflow": "and $t0, $t0, 70000\n",
+		"andi-wide":    "andi $t0, $t0, 70000\n",
+		"addiu-wide":   "addiu $t0, $t0, 70000\n",
+		"lui-wide":     "lui $t0, 0x10000\n",
+		"ori-negative": "ori $t0, $t0, -1\n",
+		"sll-wide":     "sll $t0, $t0, 40\n",
+		"sll-negative": "sll $t0, $t0, -1\n",
+		"addiu-64bit":  "addiu $t0, $t0, 4294967301\n",
+		"lw-64bit":     "lw $t0, 4294967296($t1)\n",
+		"j-64bit":      "j 0x100000000\n",
+		"li-64bit":     "li $t0, 0x1FFFFFFFF\n",
 		"mem-offset":   "lw $t0, 40000($t1)\n",
 		"jump-range":   "j 0x4000000\n",
 		"branch-far":   "b 40000\n",

@@ -64,31 +64,31 @@ func encodeLine(a *backend.Asm, op string) error {
 		a.Put(EncR(SUB, a.Reg(0), backend.RegZero, a.Reg(1)))
 		return nil
 	case "li":
-		emitLI(a, a.Reg(0), uint32(a.Imm(1)))
+		emitLI(a, a.Reg(0), uint32(a.Imm(1, backend.Word32)))
 		return nil
 	case "mvh":
 		a.Put(EncR(MVH, a.Reg(0), 0, 0))
 		return nil
 	case "mvhi":
-		a.Put(EncI(MVHI, a.Reg(0), 0, int32(a.Imm(1))))
+		a.Put(EncI(MVHI, a.Reg(0), 0, int32(a.Imm(1, immField(MVHI)))))
 		return nil
 	case "cmp":
 		rb := a.Reg(0)
 		if !a.IsReg(1) {
-			a.Put(EncI(CMPI, 0, rb, int32(a.Imm(1))))
+			a.Put(EncI(CMPI, 0, rb, int32(a.Imm(1, immField(CMPI)))))
 			return nil
 		}
 		a.Put(EncR(CMP, 0, rb, a.Reg(1)))
 		return nil
 	case "cmpi":
-		a.Put(EncI(CMPI, 0, a.Reg(0), int32(a.Imm(1))))
+		a.Put(EncI(CMPI, 0, a.Reg(0), int32(a.Imm(1, immField(CMPI)))))
 		return nil
 	case "b", "ja", "jla":
 		o := JA
 		if op == "jla" {
 			o = JLA
 		}
-		a.Put(EncJ(o, uint32(a.Imm(0))))
+		a.Put(EncJ(o, uint32(a.Imm(0, backend.Target26))))
 		return nil
 	case "jr":
 		a.Put(EncJR(a.Reg(0)))
@@ -99,7 +99,7 @@ func encodeLine(a *backend.Asm, op string) error {
 	case "brk", "svc":
 		var code int64
 		if a.NumOps() > 0 {
-			code = a.Imm(0)
+			code = a.Imm(0, backend.Code20)
 		}
 		if op == "brk" {
 			a.Put(EncBrk(uint32(code)))
@@ -112,12 +112,11 @@ func encodeLine(a *backend.Asm, op string) error {
 	if o, ok := rOps[op]; ok {
 		ra, rb := a.Reg(0), a.Reg(1)
 		if a.NumOps() == 3 && !a.IsReg(2) {
-			imm := a.Imm(2)
 			iop, ok := immFor[o]
 			if !ok {
 				return fmt.Errorf("%s does not take an immediate", op)
 			}
-			a.Put(EncI(iop, ra, rb, int32(imm)))
+			a.Put(EncI(iop, ra, rb, int32(a.Imm(2, immField(iop)))))
 			return nil
 		}
 		a.Put(EncR(o, ra, rb, a.Reg(2)))
@@ -125,17 +124,17 @@ func encodeLine(a *backend.Asm, op string) error {
 	}
 	if o, ok := iOps[op]; ok {
 		ra, rb := a.Reg(0), a.Reg(1)
-		a.Put(EncI(o, ra, rb, int32(a.Imm(2))))
+		a.Put(EncI(o, ra, rb, int32(a.Imm(2, immField(o)))))
 		return nil
 	}
 	if o, ok := memOps[op]; ok {
 		ra := a.Reg(0)
-		off, base := a.Mem(1)
+		off, base := a.Mem(1, backend.Signed16)
 		a.Put(EncM(o, ra, base, off))
 		return nil
 	}
 	if o, ok := brOps[op]; ok {
-		a.Put(EncBr(o, a.Disp(0)))
+		a.Put(EncBr(o, a.Disp(0, backend.Signed16)))
 		return nil
 	}
 	return fmt.Errorf("unknown mnemonic %q", op)

@@ -136,17 +136,22 @@ table:
   .word 0x48
   brk 2
 `,
-		"empty":        "",
-		"label-only":   "a:\nb: c:\n",
-		"no-operands":  "move\n",
-		"word-bare":    ".word\n",
-		"bad-reg":      "add $q, $t0, $t1\n",
-		"imm-overflow": "addi $t0, $t0, 70000\n",
-		"shift-range":  "lsli $t0, $t0, 32\n",
-		"jump-range":   "ja 0x4000000\n",
-		"branch-far":   "beq 40000\n",
-		"dup-label":    "x:\nx:\n",
-		"unknown-op":   "frobnicate $t0\n",
+		"empty":         "",
+		"label-only":    "a:\nb: c:\n",
+		"no-operands":   "move\n",
+		"word-bare":     ".word\n",
+		"bad-reg":       "add $q, $t0, $t1\n",
+		"imm-overflow":  "addi $t0, $t0, 70000\n",
+		"cmpi-64bit":    "cmpi $t0, 4294967301\n",
+		"ldw-64bit":     "ldw $t0, 4294967296($t1)\n",
+		"lsli-64bit":    "lsli $t0, $t0, 4294967297\n",
+		"iori-negative": "iori $t0, $t0, -1\n",
+		"mvhi-wide":     "mvhi $t0, 0x10000\n",
+		"shift-range":   "lsli $t0, $t0, 32\n",
+		"jump-range":    "ja 0x4000000\n",
+		"branch-far":    "beq 40000\n",
+		"dup-label":     "x:\nx:\n",
+		"unknown-op":    "frobnicate $t0\n",
 	}
 }
 

@@ -22,7 +22,11 @@
 //	K-type   op | code20                                   BRK/SVC
 package ob0
 
-import "fmt"
+import (
+	"fmt"
+
+	"tnsr/internal/backend"
+)
 
 // Op identifies an ob0 operation; the enum value is the 6-bit major
 // opcode.
@@ -239,21 +243,23 @@ func EncI(op Op, a, b uint8, imm int32) uint32 {
 	if !op.IsIType() {
 		panic("ob0: EncI bad op " + op.String())
 	}
-	switch op {
-	case ANDI, IORI, XORI, MVHI:
-		if imm < 0 || imm > 0xFFFF {
-			panic("ob0: EncI zero-extended immediate out of range")
-		}
-	case LSLI, LSRI, ASRI:
-		if imm < 0 || imm > 31 {
-			panic("ob0: EncI shift amount out of range")
-		}
-	default:
-		if imm < -32768 || imm > 32767 {
-			panic("ob0: EncI immediate out of range")
-		}
+	if f := immField(op); int64(imm) < f.Lo || int64(imm) > f.Hi {
+		panic(fmt.Sprintf("ob0: %s immediate %d out of range", op, imm))
 	}
 	return uint32(op)<<26 | uint32(a&31)<<21 | uint32(b&31)<<16 | uint32(uint16(imm))
+}
+
+// immField is the range of an I-type opcode's immediate: the logical
+// operations and MVHI zero-extend 16 bits, the shifts take 5, the rest
+// sign-extend 16.
+func immField(op Op) backend.Field {
+	switch op {
+	case ANDI, IORI, XORI, MVHI:
+		return backend.Unsigned16
+	case LSLI, LSRI, ASRI:
+		return backend.Shift5
+	}
+	return backend.Signed16
 }
 
 // EncM encodes a load or store of register a at R[b]+off.

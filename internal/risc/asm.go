@@ -33,10 +33,10 @@ func EncodeLine(a *backend.Asm, op string) error {
 		a.Put(EncALU(SUBU, a.Reg(0), RegZero, a.Reg(1)))
 		return nil
 	case "li":
-		emitLI(a, a.Reg(0), uint32(a.Imm(1)))
+		emitLI(a, a.Reg(0), uint32(a.Imm(1, backend.Word32)))
 		return nil
 	case "b":
-		a.Put(EncBranch(BEQ, RegZero, RegZero, a.Disp(0)))
+		a.Put(EncBranch(BEQ, RegZero, RegZero, a.Disp(0, backend.Signed16)))
 		return nil
 	}
 
@@ -45,19 +45,11 @@ func EncodeLine(a *backend.Asm, op string) error {
 		// Immediate forms are accepted for addu/and/or/xor/slt/sltu by
 		// rewriting to the immediate opcode.
 		if a.NumOps() == 3 && !a.IsReg(2) {
-			imm := a.Imm(2)
 			iop, ok := immFor[o]
 			if !ok {
 				return fmt.Errorf("%s does not take an immediate", op)
 			}
-			if (iop == ANDI || iop == ORI || iop == XORI) && (imm < 0 || imm > 0xFFFF) {
-				return fmt.Errorf("%s immediate %d out of range", op, imm)
-			}
-			if (iop == ADDIU || iop == ADDI || iop == SLTI || iop == SLTIU) &&
-				(imm < -32768 || imm > 32767) {
-				return fmt.Errorf("%s immediate %d out of range", op, imm)
-			}
-			a.Put(EncImm(iop, rd, rs, int32(imm)))
+			a.Put(EncImm(iop, rd, rs, int32(a.Imm(2, immField(iop)))))
 			return nil
 		}
 		rt := a.Reg(2)
@@ -72,21 +64,21 @@ func EncodeLine(a *backend.Asm, op string) error {
 	if o, ok := immOps[op]; ok {
 		rt := a.Reg(0)
 		if o == LUI {
-			a.Put(EncImm(LUI, rt, 0, int32(a.Imm(1))))
+			a.Put(EncImm(LUI, rt, 0, int32(a.Imm(1, immField(LUI)))))
 			return nil
 		}
 		rs := a.Reg(1)
-		a.Put(EncImm(o, rt, rs, int32(a.Imm(2))))
+		a.Put(EncImm(o, rt, rs, int32(a.Imm(2, immField(o)))))
 		return nil
 	}
 	if o, ok := shiftOps[op]; ok {
 		rd, rt := a.Reg(0), a.Reg(1)
-		a.Put(EncShift(o, rd, rt, uint8(a.Imm(2))))
+		a.Put(EncShift(o, rd, rt, uint8(a.Imm(2, backend.Shift5))))
 		return nil
 	}
 	if o, ok := memOps[op]; ok {
 		rt := a.Reg(0)
-		off, base := a.Mem(1)
+		off, base := a.Mem(1, backend.Signed16)
 		a.Put(EncMem(o, rt, base, off))
 		return nil
 	}
@@ -97,19 +89,19 @@ func EncodeLine(a *backend.Asm, op string) error {
 		if op == "bne" {
 			o = BNE
 		}
-		a.Put(EncBranch(o, rs, rt, a.Disp(2)))
+		a.Put(EncBranch(o, rs, rt, a.Disp(2, backend.Signed16)))
 		return nil
 	case "blez", "bgtz", "bltz", "bgez":
 		rs := a.Reg(0)
 		o := map[string]Op{"blez": BLEZ, "bgtz": BGTZ, "bltz": BLTZ, "bgez": BGEZ}[op]
-		a.Put(EncBranch(o, rs, 0, a.Disp(1)))
+		a.Put(EncBranch(o, rs, 0, a.Disp(1, backend.Signed16)))
 		return nil
 	case "j", "jal":
 		o := J
 		if op == "jal" {
 			o = JAL
 		}
-		a.Put(EncJ(o, uint32(a.Imm(0))))
+		a.Put(EncJ(o, uint32(a.Imm(0, backend.Target26))))
 		return nil
 	case "jr":
 		a.Put(EncJR(a.Reg(0)))
@@ -131,7 +123,7 @@ func EncodeLine(a *backend.Asm, op string) error {
 	case "break", "syscall":
 		var code int64
 		if a.NumOps() > 0 {
-			code = a.Imm(0)
+			code = a.Imm(0, backend.Code20)
 		}
 		if op == "break" {
 			a.Put(EncBreak(uint32(code)))
@@ -141,6 +133,16 @@ func EncodeLine(a *backend.Asm, op string) error {
 		return nil
 	}
 	return fmt.Errorf("unknown mnemonic %q", op)
+}
+
+// immField is the range of an immediate opcode's 16-bit field: the logical
+// operations and LUI zero-extend it, the rest sign-extend it.
+func immField(op Op) backend.Field {
+	switch op {
+	case ANDI, ORI, XORI, LUI:
+		return backend.Unsigned16
+	}
+	return backend.Signed16
 }
 
 func emitLI(a *backend.Asm, rd uint8, v uint32) {

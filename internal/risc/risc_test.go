@@ -1,6 +1,7 @@
 package risc
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"tnsr/internal/backend"
@@ -483,6 +484,29 @@ func TestAsmErrors(t *testing.T) {
 	} {
 		if _, _, err := Assemble(src, nil); err == nil {
 			t.Errorf("expected error for %q", src)
+		}
+	}
+	// An operand that does not fit its field is the line's error, never
+	// a field truncated in the word.
+	for _, src := range []string{
+		"andi $t0, $t0, 70000",
+		"addiu $t0, $t0, 70000",
+		"lui $t0, 0x10000",
+		"ori $t0, $t0, -1",
+		"sll $t0, $t0, 40",
+		"sll $t0, $t0, -1",
+		"addiu $t0, $t0, 4294967301",
+		"lw $t0, 4294967296($t1)",
+		"j 0x100000000",
+		"li $t0, 0x1FFFFFFFF",
+		"beq $t0, $t0, 4294967296",
+		"break 0x100000",
+		".word 0x100000000",
+	} {
+		_, _, err := Assemble("nop\n"+src, nil)
+		if err == nil || !strings.HasPrefix(err.Error(), "line 2: ") ||
+			!strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%q: error %v, want line 2 out of range", src, err)
 		}
 	}
 }
