@@ -46,14 +46,16 @@ type Encoded struct {
 // Program is a code image decoded once into one target's instruction form
 // (under one timing configuration, for a target that has one). It is
 // immutable: every simulator built from it shares the decoded code
-// read-only, and owns only its registers, data memory and pipeline state.
+// read-only, and owns only its registers and pipeline state, and uses the
+// data memory it was given.
 type Program interface {
 	// Code returns the raw words the program was decoded from: what a
 	// code-window load reads and what a disassembler lists.
 	Code() *CodeImage
-	// NewSim constructs a simulator over the program with memBytes bytes
-	// of data memory.
-	NewSim(memBytes int) Sim
+	// NewSim constructs a simulator over the program whose data memory
+	// is mem, taken as it is: the caller owns the memory's size, layout
+	// and lifetime, and hands over zeroed memory for a fresh machine.
+	NewSim(mem []byte) Sim
 }
 
 // Sim is the minimal simulator surface mixed-mode execution needs. The

@@ -13,6 +13,10 @@
 //     loops — executes to the architecturally-defined result on the
 //     backend's own simulator, with the BREAK, SYSCALL, StoreTrace,
 //     breakpoint, trap and register-zero protocols all observed.
+//   - The simulator runs on the data memory it is given, and records
+//     every store that lands: a page of the TNS data region in Dirty, any
+//     address beyond the region in DirtyBeyond; a fenced store writes and
+//     records nothing.
 //   - The code space is sparse: a code image holding only its segments
 //     executes, and reads through the code window, exactly like the dense
 //     image with zeros in the gaps; PCs and code-window loads at or beyond
@@ -33,6 +37,7 @@ import (
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
 	"tnsr/internal/millicode"
+	"tnsr/internal/tns"
 	"tnsr/internal/workloads"
 )
 
@@ -51,6 +56,7 @@ func Contract(t *testing.T, be backend.Backend, defuse DefUse) {
 	t.Run("breakpoints", func(t *testing.T) { testBreakpoints(t, be) })
 	t.Run("traps", func(t *testing.T) { testTraps(t, be) })
 	t.Run("sparse-code", func(t *testing.T) { testSparseCode(t, be) })
+	t.Run("write-record", func(t *testing.T) { testWriteRecord(t, be) })
 	if defuse != nil {
 		t.Run("defuse-vs-sim", func(t *testing.T) { testDefUseVsSim(t, be, defuse) })
 	}
@@ -254,7 +260,7 @@ func testExec(t *testing.T, be backend.Backend) {
 	p, marks := execProg()
 	enc := p.encode(t, be)
 
-	sim := be.Load(backend.FlatCode(enc.Code)).NewSim(0x10000)
+	sim := be.Load(backend.FlatCode(enc.Code)).NewSim(make([]byte, 0x10000))
 	s := sim.Core()
 	if s == nil {
 		t.Fatal("Core() returned nil")
@@ -335,7 +341,7 @@ func testExec(t *testing.T, be backend.Backend) {
 func testBreakpoints(t *testing.T, be backend.Backend) {
 	p, marks := execProg()
 	enc := p.encode(t, be)
-	sim := be.Load(backend.FlatCode(enc.Code)).NewSim(0x10000)
+	sim := be.Load(backend.FlatCode(enc.Code)).NewSim(make([]byte, 0x10000))
 	s := sim.Core()
 	bp := uint32(enc.Pos[marks["sh"]])
 	s.Breakpoints = map[uint32]bool{bp: true}
@@ -417,7 +423,7 @@ func testTraps(t *testing.T, be backend.Backend) {
 			p := newProg()
 			p.ins = tc.ins
 			enc := p.encode(t, be)
-			sim := be.Load(backend.FlatCode(enc.Code)).NewSim(0x10000)
+			sim := be.Load(backend.FlatCode(enc.Code)).NewSim(make([]byte, 0x10000))
 			s := sim.Core()
 			if tc.prep != nil {
 				tc.prep(s)
@@ -437,6 +443,91 @@ func testTraps(t *testing.T, be backend.Backend) {
 			}
 		})
 	}
+}
+
+// testWriteRecord stores one word, halfword or byte per run into a
+// memory the size of the runtime layout's TNS data region and tables, and
+// checks what the simulator records: the page inside the region, the flag
+// beyond it, nothing for a store the fence refuses. Host writes record the
+// same way.
+func testWriteRecord(t *testing.T, be backend.Backend) {
+	z := uint8(backend.RegZero)
+	t0, t1 := uint8(backend.RegT0), uint8(backend.RegT0+1)
+	const region = 2 * tns.DataWords
+	cases := []struct {
+		name   string
+		hi     int32 // $t0 = hi<<16 | lo
+		lo     int32
+		store  backend.Op
+		page   int // page Dirty must hold, or -1
+		beyond bool
+		trap   int
+	}{
+		{"word-inside", 0, 0x1234, backend.SW, 0x12, false, backend.TrapNone},
+		{"half-last-page", 1, 0xFFFE, backend.SH, tns.Pages - 1, false, backend.TrapNone},
+		{"byte-beyond", 3, 0x0001, backend.SB, -1, true, backend.TrapNone},
+		{"word-fenced", 2, 0x0010, backend.SW, -1, false, backend.TrapProtected},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newProg()
+			p.ins = []backend.Inst{
+				{Op: backend.LUI, Rt: t0, Imm: tc.hi},
+				{Op: backend.ORI, Rt: t0, Rs: t0, Imm: tc.lo},
+				{Op: backend.ORI, Rt: t1, Rs: z, Imm: 0x5A},
+				{Op: tc.store, Rt: t1, Rs: t0},
+				{Op: backend.BREAK, Code: 9},
+			}
+			mem := make([]byte, 2*region)
+			sim := be.Load(backend.FlatCode(p.encode(t, be).Code)).NewSim(mem)
+			s := sim.Core()
+			if &s.Mem[0] != &mem[0] || len(s.Mem) != len(mem) {
+				t.Fatal("the simulator does not run on the memory it was given")
+			}
+			s.ProtectedLo, s.ProtectedHi = region, region+0x40
+			sim.ResumeAt(0)
+			if err := sim.Run(100); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if s.Trap != tc.trap {
+				t.Fatalf("trap %d, want %d", s.Trap, tc.trap)
+			}
+			addr := uint32(tc.hi)<<16 | uint32(tc.lo)
+			written := 0
+			for _, b := range mem {
+				if b != 0 {
+					written++
+				}
+			}
+			want := 1
+			if tc.trap != backend.TrapNone {
+				want = 0
+			}
+			if written != want {
+				t.Errorf("%d nonzero bytes after a store of 0x5a at %#x, want %d", written, addr, want)
+			}
+			wantPages := 0
+			if tc.page >= 0 {
+				wantPages = 1
+				if !s.Dirty.Has(tc.page) {
+					t.Errorf("store at %#x: page %d not in Dirty", addr, tc.page)
+				}
+			}
+			if s.Dirty.Len() != wantPages || s.DirtyBeyond != tc.beyond {
+				t.Errorf("store at %#x: %d dirty pages, DirtyBeyond %v; want %d, %v",
+					addr, s.Dirty.Len(), s.DirtyBeyond, wantPages, tc.beyond)
+			}
+		})
+	}
+	t.Run("host", func(t *testing.T) {
+		sim := be.Load(backend.FlatCode([]uint32{0})).NewSim(make([]byte, 2*region))
+		s := sim.Core()
+		s.WriteWord(region-2, 0x01020304) // straddles the region's end
+		if !s.Dirty.Has(tns.Pages-1) || s.Dirty.Len() != 1 || !s.DirtyBeyond {
+			t.Errorf("a host write across the region's end: %d dirty pages (last %v), DirtyBeyond %v",
+				s.Dirty.Len(), s.Dirty.Has(tns.Pages-1), s.DirtyBeyond)
+		}
+	})
 }
 
 // testSparseCode runs the same code sparse (only its two segments stored)
@@ -488,7 +579,7 @@ func testSparseCode(t *testing.T, be backend.Backend) {
 	}
 
 	run := func(code *backend.CodeImage, pc uint32) backend.CPU {
-		sim := be.Load(code).NewSim(0x1000)
+		sim := be.Load(code).NewSim(make([]byte, 0x1000))
 		sim.ResumeAt(pc)
 		if err := sim.Run(10_000); err != nil {
 			t.Fatalf("Run: %v", err)
@@ -549,7 +640,7 @@ func testDefUseVsSim(t *testing.T, be backend.Backend, defuse DefUse) {
 
 		prog := be.Load(backend.FlatCode([]uint32{w}))
 		run := func(regs [32]uint32) *backend.CPU {
-			sim := prog.NewSim(memBytes)
+			sim := prog.NewSim(make([]byte, memBytes))
 			c := sim.Core()
 			c.Reg = regs
 			c.Reg[0] = 0

@@ -27,6 +27,9 @@ const (
 // trace and dirty-page marking. A target keeps its decode, instruction
 // semantics and timing.
 //
+// A CPU's data memory is its creator's: [Program.NewSim] takes it as it
+// is, and the mixed-mode runtime recycles it between runners.
+//
 // Code is not part of CPU: it lives, decoded, in the [Program] the
 // simulator was built from and is shared by every simulator of that
 // program. PC values are word indexes into the program's code space, and
@@ -41,8 +44,11 @@ type CPU struct {
 	// 2*tns.DataWords bytes of Mem) written since the mixed-mode runtime
 	// last mirrored them into the interpreter's memory. Every store that
 	// lands in the region marks it: simulated stores and the host-side
-	// writes below alike.
-	Dirty tns.PageSet
+	// writes below alike. A store that lands beyond the region sets
+	// DirtyBeyond instead, and nothing ever clears it: the memory above
+	// the region then holds a write no page set recorded.
+	Dirty       tns.PageSet
+	DirtyBeyond bool
 
 	Cycles int64
 	Instrs int64
@@ -120,8 +126,9 @@ const CodeWindow = 0x01000000
 // unaligned or out-of-range address raises TrapAddress and returns false.
 // Stores raise TrapProtected inside the fenced table region and
 // TrapAddress when unaligned or out of range, and then write nothing;
-// every store that lands marks its page dirty, and a byte or halfword
-// store reports its halfword to StoreTrace (a word store is not traced).
+// every store that lands marks its page dirty (or DirtyBeyond), and a byte
+// or halfword store reports its halfword to StoreTrace (a word store is not
+// traced).
 
 // LoadByte reads the byte at data address addr.
 func (c *CPU) LoadByte(addr uint32) (uint32, bool) {
@@ -170,7 +177,7 @@ func (c *CPU) StoreByte(addr, v uint32) bool {
 		ha := addr &^ 1
 		c.StoreTrace(ha, uint16(c.Mem[ha])<<8|uint16(c.Mem[ha+1]))
 	}
-	c.Dirty.MarkByte(addr)
+	c.mark(addr)
 	return true
 }
 
@@ -184,7 +191,7 @@ func (c *CPU) StoreHalf(addr, v uint32) bool {
 	if c.StoreTrace != nil {
 		c.StoreTrace(addr, uint16(v))
 	}
-	c.Dirty.MarkByte(addr)
+	c.mark(addr)
 	return true
 }
 
@@ -195,8 +202,17 @@ func (c *CPU) StoreWord(addr, v uint32) bool {
 	}
 	m := c.Mem[addr : addr+4]
 	m[0], m[1], m[2], m[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-	c.Dirty.MarkByte(addr)
+	c.mark(addr)
 	return true
+}
+
+// mark records a write at data address addr: its page in Dirty or, beyond
+// the TNS data region, DirtyBeyond. The flag costs only the branch that
+// MarkByte's bounds check already takes.
+func (c *CPU) mark(addr uint32) {
+	if !c.Dirty.MarkByte(addr) {
+		c.DirtyBeyond = true
+	}
 }
 
 func (c *CPU) fenced(addr uint32) bool {
@@ -229,8 +245,8 @@ func (c *CPU) ReadHalf(addr uint32) uint16 {
 func (c *CPU) WriteHalf(addr uint32, v uint16) {
 	c.Mem[addr] = byte(v >> 8)
 	c.Mem[addr+1] = byte(v)
-	c.Dirty.MarkByte(addr)
-	c.Dirty.MarkByte(addr + 1) // an unaligned write may straddle two pages
+	c.mark(addr)
+	c.mark(addr + 1) // an unaligned write may straddle two pages
 }
 
 // WriteWord writes a big-endian word to data memory (host convenience).

@@ -48,12 +48,12 @@ func NewProgram(code *backend.CodeImage) *Program {
 func (p *Program) Code() *backend.CodeImage { return p.code }
 
 // NewSim constructs a simulator over the program (backend.Program).
-func (p *Program) NewSim(memBytes int) backend.Sim { return NewSim(p, memBytes) }
+func (p *Program) NewSim(mem []byte) backend.Sim { return NewSim(p, mem) }
 
-// NewSim creates an ob0 simulator over a decoded program with memBytes
-// bytes of data memory.
-func NewSim(p *Program, memBytes int) *Sim {
-	return &Sim{CPU: backend.CPU{Mem: make([]byte, memBytes)}, ins: p.ins, code: p.code}
+// NewSim creates an ob0 simulator over a decoded program with data memory
+// mem.
+func NewSim(p *Program, mem []byte) *Sim {
+	return &Sim{CPU: backend.CPU{Mem: mem}, ins: p.ins, code: p.code}
 }
 
 // Run executes instructions until a BRK, a trap, or the instruction budget

@@ -127,7 +127,7 @@ func ExitLookupCycles() (int64, error) {
 	pad := uint32(len(milli))
 	code := append(append([]uint32{}, milli...), risc.EncBreak(99))
 
-	s := risc.NewSim(risc.NewProgram(backend.FlatCode(code), risc.Config{}), millicode.MemBytes)
+	s := risc.NewSim(risc.NewProgram(backend.FlatCode(code), risc.Config{}), make([]byte, millicode.MemBytes))
 	// Synthesize a packed PMap whose group 0 maps TNS word 3 to the pad.
 	base := uint32(millicode.TableArea)
 	s.WriteWord(base, pad<<2) // group anchor byte address

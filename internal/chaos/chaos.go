@@ -396,19 +396,32 @@ func (ref *Reference) Check(mu *Mutant, budget int64) (outcome Outcome, err erro
 	if nerr != nil {
 		return 0, fmt.Errorf("runner construction failed: %v", nerr)
 	}
-	if rerr := r.Run(budget); rerr != nil {
-		return 0, fmt.Errorf("run failed: %v", rerr)
-	}
-	if got, want := r.Console(), ref.Console; got != want {
-		return 0, fmt.Errorf("silent divergence: console %q, want %q", clip(got), clip(want))
-	}
-	if r.ExitStatus != ref.Exit {
-		return 0, fmt.Errorf("silent divergence: exit %d, want %d", r.ExitStatus, ref.Exit)
-	}
-	if r.Trap != ref.Trap {
-		return 0, fmt.Errorf("silent divergence: trap %d, want %d", r.Trap, ref.Trap)
+	err = runIdentical(ref, r, budget)
+	// Reached only when the run returned: a mutant that panicked leaves
+	// its simulator memory to the garbage collector.
+	r.Release()
+	if err != nil {
+		return 0, err
 	}
 	return RanIdentical, nil
+}
+
+// runIdentical runs a mutant's runner and requires the pristine
+// interpreter's observable behavior.
+func runIdentical(ref *Reference, r *xrun.Runner, budget int64) error {
+	if err := r.Run(budget); err != nil {
+		return fmt.Errorf("run failed: %v", err)
+	}
+	if got, want := r.Console(), ref.Console; got != want {
+		return fmt.Errorf("silent divergence: console %q, want %q", clip(got), clip(want))
+	}
+	if r.ExitStatus != ref.Exit {
+		return fmt.Errorf("silent divergence: exit %d, want %d", r.ExitStatus, ref.Exit)
+	}
+	if r.Trap != ref.Trap {
+		return fmt.Errorf("silent divergence: trap %d, want %d", r.Trap, ref.Trap)
+	}
+	return nil
 }
 
 func clip(s string) string {

@@ -134,6 +134,17 @@ func runMachine(spec *machineSpec, slots chan struct{}) (res *machineResult) {
 		}
 	}
 	r := img.NewRunner()
+	serve(spec, r, res)
+	// Reached only when serve returned: a machine that panicked leaves its
+	// simulator memory to the garbage collector.
+	r.Release()
+	return res
+}
+
+// serve runs the machine's runner over its transactions, checks the
+// output against the reference, prices the run and pushes the capture,
+// recording the outcome in res.
+func serve(spec *machineSpec, r *xrun.Runner, res *machineResult) {
 	rec := obs.NewRecorder()
 	r.Observe(rec)
 	cap := pgo.NewCapture()
@@ -142,7 +153,7 @@ func runMachine(spec *machineSpec, slots chan struct{}) (res *machineResult) {
 	if err := r.Run(spec.budget); err != nil {
 		res.state = Failed
 		res.stateReason = "run: " + err.Error()
-		return res
+		return
 	}
 
 	// The oracle: whatever mode mixture the machine ran in — accelerated,
@@ -154,7 +165,7 @@ func runMachine(spec *machineSpec, slots chan struct{}) (res *machineResult) {
 		res.state = Failed
 		res.stateReason = fmt.Sprintf("output diverged (halted=%v trap=%d exit=%d)",
 			r.Halted, r.Trap, r.ExitStatus)
-		return res
+		return
 	}
 
 	rep := r.Report(rec)
@@ -187,7 +198,6 @@ func runMachine(spec *machineSpec, slots chan struct{}) (res *machineResult) {
 			res.pushErr = err
 		}
 	}
-	return res
 }
 
 // simulateArrivals prices the machine's run into an open-loop queueing

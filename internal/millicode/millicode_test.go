@@ -35,7 +35,7 @@ func callRoutine(t *testing.T, label string, t0, t1, t2 uint32,
 	// Relocate the driver after the millicode? JAL targets are absolute, so
 	// append the driver and start there.
 	all := append(append([]uint32{}, code...), driver...)
-	s := risc.NewSim(risc.NewProgram(backend.FlatCode(all), risc.Config{}), MemBytes)
+	s := risc.NewSim(risc.NewProgram(backend.FlatCode(all), risc.Config{}), make([]byte, MemBytes))
 	s.Reg[risc.RegT0] = t0
 	s.Reg[risc.RegT0+1] = t1
 	s.Reg[risc.RegT0+2] = t2

@@ -513,5 +513,5 @@ func TestAsmErrors(t *testing.T) {
 
 // newSim builds a simulator over a dense code image.
 func newSim(code []uint32, memBytes int, cfg Config) *Sim {
-	return NewSim(NewProgram(backend.FlatCode(code), cfg), memBytes)
+	return NewSim(NewProgram(backend.FlatCode(code), cfg), make([]byte, memBytes))
 }

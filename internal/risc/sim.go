@@ -118,7 +118,7 @@ func NewProgram(code *backend.CodeImage, cfg Config) *Program {
 func (p *Program) Code() *backend.CodeImage { return p.code }
 
 // NewSim constructs a simulator over the program (backend.Program).
-func (p *Program) NewSim(memBytes int) backend.Sim { return NewSim(p, memBytes) }
+func (p *Program) NewSim(mem []byte) backend.Sim { return NewSim(p, mem) }
 
 // Sim is the RISC processor simulator. Code is held separately from data
 // memory, decoded, in the shared Program; PC values are word indexes into
@@ -156,11 +156,11 @@ type Sim struct {
 	_ [64]byte
 }
 
-// NewSim creates a simulator over a decoded program with a data memory of
-// memBytes bytes, timed by the program's config.
-func NewSim(p *Program, memBytes int) *Sim {
+// NewSim creates a simulator over a decoded program with data memory mem,
+// timed by the program's config.
+func NewSim(p *Program, mem []byte) *Sim {
 	return &Sim{
-		CPU:    backend.CPU{Mem: make([]byte, memBytes)},
+		CPU:    backend.CPU{Mem: mem},
 		ins:    p.ins,
 		code:   p.code,
 		cfg:    p.cfg,

@@ -18,12 +18,15 @@ type PageSet [Pages / 64]uint64
 func (p *PageSet) MarkWord(a uint16) { p[a>>13] |= 1 << (a >> 7 & 63) }
 
 // MarkByte adds the page holding byte a of a big-endian byte mirror of the
-// data space (word w at bytes 2w and 2w+1). Bytes beyond the data space
-// are not tracked.
-func (p *PageSet) MarkByte(a uint32) {
-	if i := a >> 14; i < uint32(len(p)) {
-		p[i] |= 1 << (a >> 8 & 63)
+// data space (word w at bytes 2w and 2w+1) and reports true. Bytes beyond
+// the data space are not tracked: it reports false.
+func (p *PageSet) MarkByte(a uint32) bool {
+	i := a >> 14
+	if i >= uint32(len(p)) {
+		return false
 	}
+	p[i] |= 1 << (a >> 8 & 63)
+	return true
 }
 
 // MarkWords adds every page holding a word of [a, a+n).

@@ -8,8 +8,12 @@ func TestPageSetMarks(t *testing.T) {
 	p.MarkWord(PageWords - 1) // same page
 	p.MarkWord(PageWords)     // next page
 	p.MarkWord(DataWords - 1) // last page
-	p.MarkByte(2 * 5 * PageWords)
-	p.MarkByte(2*DataWords + 7) // beyond the data space: ignored
+	if !p.MarkByte(2 * 5 * PageWords) {
+		t.Error("MarkByte inside the data space reported false")
+	}
+	if p.MarkByte(2*DataWords + 7) { // beyond the data space: ignored
+		t.Error("MarkByte beyond the data space reported true")
+	}
 	var got []int
 	p.ForEach(func(pg int) { got = append(got, pg) })
 	want := []int{0, 1, 5, Pages - 1}

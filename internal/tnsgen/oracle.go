@@ -230,10 +230,20 @@ func (o *OracleOptions) pass(s *Subject, m *interp.Machine, lvl codefile.AccelLe
 	if err != nil {
 		return err
 	}
-	r.Observe(rec)
+	err = o.check(m, r, rec, withBreak, res)
+	// Reached only when check returned: a pass that panicked leaves its
+	// simulator memory to the garbage collector.
+	r.Release()
+	return err
+}
 
+// check runs one pass's runner, observed by rec, and compares it against
+// the reference machine.
+func (o *OracleOptions) check(m *interp.Machine, r *xrun.Runner, rec *obs.Recorder,
+	withBreak bool, res *Result) error {
+	r.Observe(rec)
 	if withBreak {
-		addr, ok := breakAddr(user)
+		addr, ok := breakAddr(r.User)
 		if !ok {
 			return nil // nothing register-exact to break on; skip the pass
 		}
@@ -258,7 +268,7 @@ func (o *OracleOptions) pass(s *Subject, m *interp.Machine, lvl codefile.AccelLe
 	if err := checkAccounting(r, rec); err != nil {
 		return err
 	}
-	res.Coverage.Merge(coverageFrom(user, lib, rec))
+	res.Coverage.Merge(coverageFrom(r.User, r.Lib, rec))
 	res.Passes++
 	return nil
 }

@@ -99,11 +99,12 @@ func RunDynamic(user, lib *codefile.File, threshold int, level codefile.AccelLev
 				return nil, err
 			}
 			res.InterpCycles = im.Cycles(&m.Prof.Counts, m.Prof.LongUnits)
-			if err := r.Run(budget); err != nil {
+			err = r.Run(budget)
+			r.Release() // the results below are the runner's, not its memory's
+			if err != nil {
 				return nil, err
 			}
-			total, riscCyc, interludeCyc := r.Cycles()
-			_ = total
+			_, riscCyc, interludeCyc := r.Cycles()
 			res.RunnerCycles = riscCyc + interludeCyc
 			res.Console = r.Console()
 			res.Halted = r.Halted
@@ -202,7 +203,9 @@ func StaticCost(user, lib *codefile.File, level codefile.AccelLevel,
 	if err != nil {
 		return 0, 0, "", err
 	}
-	if err := r.Run(budget); err != nil {
+	err = r.Run(budget)
+	r.Release()
+	if err != nil {
 		return 0, 0, "", err
 	}
 	if r.Trap != tns.TrapNone {

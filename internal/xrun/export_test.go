@@ -1,6 +1,7 @@
 package xrun
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -74,4 +75,63 @@ func mirrorViolation(r *Runner, rolledBack bool) error {
 		}
 	}
 	return nil
+}
+
+// RecycleChecks counts the simulator memories CheckRecycled checked, so a
+// test can show the recycling path was exercised.
+type RecycleChecks struct {
+	mu       sync.Mutex
+	Taken    int // memories NewRunner took
+	Recycled int // of them, ones a Release had handed back
+	failed   bool
+}
+
+// Counts returns Taken and Recycled.
+func (c *RecycleChecks) Counts() (taken, recycled int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.Taken, c.Recycled
+}
+
+// CheckRecycled installs the recycled-memory check (DESIGN.md §6) on every
+// NewRunner in this test binary until t ends: each simulator memory
+// NewRunner takes must be all zero before NewRunner writes the runtime
+// tables and the data image into it, exactly like a freshly allocated
+// one. The first violation fails t.
+func CheckRecycled(t testing.TB) *RecycleChecks {
+	c := &RecycleChecks{}
+	recycleHook = func(mem []byte, recycled bool) {
+		at := firstNonzero(mem)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.Taken++
+		if recycled {
+			c.Recycled++
+		}
+		if at >= 0 && !c.failed {
+			c.failed = true
+			t.Errorf("NewRunner took a memory (recycled %v) holding %#02x at byte %#x",
+				recycled, mem[at], at)
+		}
+	}
+	t.Cleanup(func() { recycleHook = nil })
+	return c
+}
+
+var zeroChunk [4096]byte
+
+// firstNonzero returns the index of mem's first nonzero byte, or -1.
+func firstNonzero(mem []byte) int {
+	for off := 0; off < len(mem); off += len(zeroChunk) {
+		chunk := mem[off:min(off+len(zeroChunk), len(mem))]
+		if bytes.Equal(chunk, zeroChunk[:len(chunk)]) {
+			continue
+		}
+		for i, b := range chunk {
+			if b != 0 {
+				return off + i
+			}
+		}
+	}
+	return -1
 }

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 
 	"tnsr/internal/backend"
 	"tnsr/internal/backend/mips"
@@ -117,6 +118,10 @@ type Runner struct {
 	skipBP  bool
 	sim     backend.Sim
 	noEnter obs.EscapeReason // why the last enterRISCIfMapped refused
+
+	// written records every TNS data page of r.Sim.Mem a page set has
+	// named since NewRunner: the pages Release must clear.
+	written tns.PageSet
 }
 
 // quarKey packs a quarantine map key: space in the top bit, proc index
@@ -282,14 +287,23 @@ func (img *Image) setDegraded(space int, err error) {
 func (img *Image) Code() *backend.CodeImage { return img.prog.Code() }
 
 // NewRunner makes a runner over the image. It allocates the runner's own
-// state only: the simulator's data memory (with the runtime tables copied
-// in and fenced), the interpreter with its data image, and the counters.
+// state only: the interpreter with its data image, and the counters; the
+// simulator's data memory (with the runtime tables copied in and fenced)
+// comes from a pool of all-zero memories that Release refills, and is
+// allocated only when the pool is empty.
 func (img *Image) NewRunner() *Runner {
 	r := &Runner{User: img.user, Lib: img.lib, img: img,
 		QuarantineThreshold: DefaultQuarantineThreshold,
 		Degraded:            img.degraded[0] || img.degraded[1],
 		DegradedReason:      img.degradedReason}
-	r.sim = img.prog.NewSim(millicode.MemBytes)
+	mem, recycled := memPool.Get().(*simMem)
+	if !recycled {
+		mem = new(simMem)
+	}
+	if recycleHook != nil {
+		recycleHook(mem[:], recycled)
+	}
+	r.sim = img.prog.NewSim(mem[:])
 	r.Sim = r.sim.Core()
 	r.Int = interp.New(img.user, img.lib)
 	r.Sim.OnSyscall = r.onSyscall
@@ -305,6 +319,54 @@ func (img *Image) NewRunner() *Runner {
 	// marker); simulator memory starts zeroed, so every other page agrees.
 	r.syncMemToSim()
 	return r
+}
+
+// simMem is one simulator data memory in the runtime layout: the TNS data
+// region, then the runtime tables from millicode.PtrArea, then memory
+// that correct code never touches.
+type simMem [millicode.MemBytes]byte
+
+// memPool holds all-zero simulator memories for NewRunner. Release puts a
+// runner's memory back once it has cleared what the run wrote; the pool's
+// size is bounded by the garbage collector, and how many memories are in
+// use at once by the callers (the fleet's slot gate).
+var memPool sync.Pool
+
+// recycleHook, when non-nil, sees every memory NewRunner takes before it
+// writes to it, and whether it came from the pool. Tests install the
+// recycled-memory check here (DESIGN.md §6); in production it is nil and
+// costs one comparison per runner.
+var recycleHook func(mem []byte, recycled bool)
+
+// Release ends the runner's use of its simulator data memory and hands it
+// back for a later NewRunner: it clears every TNS data page the run
+// wrote, which the page sets recorded, and the runtime tables. A memory
+// that a store reached beyond the TNS data region (DirtyBeyond, damaged
+// code only) holds a write no page set recorded, and is left to the
+// garbage collector instead.
+//
+// Call it only once the runner's run returned normally and nothing reads
+// its simulator memory any more; a runner abandoned by a panic, or never
+// released, just leaves its memory to the garbage collector. Release
+// keeps the runner's results (console, exit state, counters, Report) but
+// sets Sim.Mem to nil, so running the runner or reading its simulator
+// memory afterwards panics instead of reading another runner's data. A
+// second Release does nothing.
+func (r *Runner) Release() {
+	if r.Sim.Mem == nil {
+		return
+	}
+	mem := (*simMem)(r.Sim.Mem)
+	r.Sim.Mem = nil
+	if r.Sim.DirtyBeyond {
+		return
+	}
+	r.written.Union(&r.Sim.Dirty)
+	r.written.ForEach(func(pg int) {
+		clear(mem[pg*2*tns.PageWords : (pg+1)*2*tns.PageWords])
+	})
+	clear(mem[millicode.PtrArea : millicode.PtrArea+len(r.img.tables)])
+	memPool.Put(mem)
 }
 
 // Image returns the shared image the runner was made from.
@@ -358,6 +420,7 @@ func (r *Runner) syncMemToSim() {
 	})
 	n := dirty.Len()
 	r.MirroredPages += n
+	r.written.Union(&dirty)
 	r.Int.Dirty, r.Sim.Dirty = tns.PageSet{}, tns.PageSet{}
 	if mirrorHook != nil {
 		mirrorHook(r, n, false)
@@ -379,6 +442,7 @@ func (r *Runner) syncMemToInt() {
 	})
 	n := r.Sim.Dirty.Len()
 	r.MirroredPages += n
+	r.written.Union(&r.Sim.Dirty)
 	r.Sim.Dirty = tns.PageSet{}
 	if mirrorHook != nil {
 		mirrorHook(r, n, false)
@@ -526,6 +590,9 @@ func (r *Runner) loadIntFromSim(p uint16) {
 // Run executes until the program halts or the instruction budget (summed
 // over both modes) is exhausted.
 func (r *Runner) Run(maxInstrs int64) error {
+	if r.Sim.Mem == nil {
+		panic("xrun: Run after Release")
+	}
 	// Start in RISC mode if the main entry is register-exact.
 	if !r.inRISC {
 		if !r.enterRISCIfMapped() {
