@@ -19,7 +19,7 @@ type Field struct{ Lo, Hi int64 }
 
 // The fields of both targets' encodings.
 var (
-	Signed16   = Field{-1 << 15, 1<<15 - 1}  // sign-extended immediates, memory offsets, branch displacements
+	Signed16   = Field{-1 << 15, 1<<15 - 1} // sign-extended immediates, memory offsets, branch displacements
 	Unsigned16 = Field{0, 1<<16 - 1}        // zero-extended immediates and upper halves
 	Shift5     = Field{0, 31}               // shift amounts
 	Code20     = Field{0, 1<<20 - 1}        // BREAK and SYSCALL codes

@@ -15,8 +15,9 @@ import (
 // BenchmarkSimRun isolates the unobserved RISC step loop on each backend:
 // dhry16 (40 iterations) translated at Default, one shared image, and per
 // op one fresh runner's Run with no recorder attached. Only Run is timed;
-// building the runner (and zeroing its data memory) is not. It reports ns
-// per simulated RISC instruction. BenchmarkMixedRunObserved runs with a
+// building the runner (its interpreter, and its simulator memory, which is
+// never released here and so always freshly allocated) is not. It reports
+// ns per simulated RISC instruction. BenchmarkMixedRunObserved runs with a
 // recorder attached, and perfbench's risc.ns_per_instr exists only in
 // traced runs.
 func BenchmarkSimRun(b *testing.B) {

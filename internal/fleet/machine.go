@@ -115,12 +115,15 @@ func runMachine(spec *machineSpec, slots chan struct{}) (res *machineResult) {
 		}
 	}()
 
-	// The slot gate bounds how many runners are resident at once (about
-	// 1.35 MB each over a shared image: the 1 MiB simulator memory, the
-	// interpreter's 128 KiB data space and the R3000's cache tags; see
-	// BenchmarkRunnerNew). Every machine's goroutine exists concurrently —
-	// arrival schedules are in simulated time, so queueing behavior is
-	// unaffected by when the slot opens.
+	// The slot gate bounds how many runners are resident at once, and so
+	// how many simulator memories are in use. A runner over a shared image
+	// holds about 1.35 MB (the 1 MiB simulator memory, the interpreter's
+	// 128 KiB data space and the R3000's cache tags) but allocates only
+	// about 0.3 MB of it when it takes a memory an earlier machine
+	// released (BenchmarkRunnerNew "recycled" against "shared"). Every
+	// machine's goroutine exists concurrently — arrival schedules are in
+	// simulated time, so queueing behavior is unaffected by when the slot
+	// opens.
 	slots <- struct{}{}
 	defer func() { <-slots }()
 

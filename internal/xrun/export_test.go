@@ -86,13 +86,6 @@ type RecycleChecks struct {
 	failed   bool
 }
 
-// Counts returns Taken and Recycled.
-func (c *RecycleChecks) Counts() (taken, recycled int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.Taken, c.Recycled
-}
-
 // CheckRecycled installs the recycled-memory check (DESIGN.md §6) on every
 // NewRunner in this test binary until t ends: each simulator memory
 // NewRunner takes must be all zero before NewRunner writes the runtime

@@ -59,8 +59,8 @@ func TestRecycleStrayStoreDropsMemory(t *testing.T) {
 	if got := next.Sim.ReadHalf(stray); got != 0 {
 		t.Errorf("the next runner reads %#04x at the stray address, want 0", got)
 	}
-	if taken, _ := checks.Counts(); taken != 2 {
-		t.Errorf("%d memories checked, want 2", taken)
+	if checks.Taken != 2 {
+		t.Errorf("%d memories checked, want 2", checks.Taken)
 	}
 }
 
@@ -91,8 +91,8 @@ func TestRecycleUnsyncedRollback(t *testing.T) {
 	if err := next.Run(10_000_000); err != nil || next.Console() != "15" {
 		t.Errorf("the next runner: console %q, err %v", next.Console(), err)
 	}
-	if taken, _ := checks.Counts(); taken != 2 {
-		t.Errorf("%d memories checked, want 2", taken)
+	if checks.Taken != 2 {
+		t.Errorf("%d memories checked, want 2", checks.Taken)
 	}
 }
 
@@ -123,8 +123,8 @@ func TestRecycleAdoptInterpreter(t *testing.T) {
 			r.written.Len(), tns.Pages)
 	}
 	releaseAndTakeNext(r)
-	if taken, _ := checks.Counts(); taken != 2 {
-		t.Errorf("%d memories checked, want 2", taken)
+	if checks.Taken != 2 {
+		t.Errorf("%d memories checked, want 2", checks.Taken)
 	}
 }
 
@@ -218,11 +218,11 @@ func TestRecycleConcurrentRunners(t *testing.T) {
 					t.Fatalf("run %d differs from a private image's:\n got %+v\nwant %+v", i, g, private)
 				}
 			}
-			taken, recycled := checks.Counts()
-			if taken != 1+runners*rounds || recycled == 0 {
-				t.Errorf("%d memories taken, %d recycled; want %d, some", taken, recycled, 1+runners*rounds)
+			if checks.Taken != 1+runners*rounds || checks.Recycled == 0 {
+				t.Errorf("%d memories taken, %d recycled; want %d, some",
+					checks.Taken, checks.Recycled, 1+runners*rounds)
 			}
-			t.Logf("%d memories taken, %d recycled", taken, recycled)
+			t.Logf("%d memories taken, %d recycled", checks.Taken, checks.Recycled)
 		})
 	}
 }
