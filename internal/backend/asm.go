@@ -274,13 +274,15 @@ func (a *Asm) Mem(i int, f Field) (off int32, base uint8) {
 	return off, a.reg(s[l+1 : r])
 }
 
-// Disp parses operand i as a branch target and returns its displacement
-// in words from the instruction after the branch, which must fit f (0 in
-// pass 1, where the target may be a label not yet defined).
+// Disp parses operand i as a branch target, a code word index, and
+// returns its displacement in words from the instruction after the
+// branch, which must fit f (0 in pass 1, where the target may be a label
+// not yet defined).
 func (a *Asm) Disp(i int, f Field) int32 {
 	s, ok := a.operand(i)
 	if !ok || !a.emit {
 		return 0
 	}
-	return int32(a.fit(a.imm(s)-int64(a.pc)-1, f, "branch displacement"))
+	t := a.fit(a.imm(s), Target26, "branch target")
+	return int32(a.fit(t-int64(a.pc)-1, f, "branch displacement"))
 }

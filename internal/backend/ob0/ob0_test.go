@@ -61,6 +61,7 @@ func TestAsmErrors(t *testing.T) {
 		"ja 0x4000000",
 		"jla 0x100000000",
 		"beq 40000",
+		"beq -5",
 		"brk 0x100000",
 		"li $t0, 0x1FFFFFFFF",
 		".word 0x100000000",

@@ -500,6 +500,7 @@ func TestAsmErrors(t *testing.T) {
 		"j 0x100000000",
 		"li $t0, 0x1FFFFFFFF",
 		"beq $t0, $t0, 4294967296",
+		"b -5",
 		"break 0x100000",
 		".word 0x100000000",
 	} {
