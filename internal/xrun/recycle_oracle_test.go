@@ -18,9 +18,8 @@ import (
 // The recycled-memory invariant (DESIGN.md §6) checked on every memory
 // NewRunner takes while the differential oracle and the fleet run: the
 // oracle's passes and the fleet's machines release their runners, so
-// later runners take recycled memories. The mirror check runs alongside:
-// a leftover byte in the TNS data region would also break the mirror at
-// the first sync.
+// later runners take recycled memories. (The mirror tests run the same
+// oracle, so their check covers recycled memories too.)
 
 // checkRecycledSome fails t unless some memory was taken from the pool.
 func checkRecycledSome(t *testing.T, checks *xrun.RecycleChecks) {
@@ -32,7 +31,6 @@ func checkRecycledSome(t *testing.T, checks *xrun.RecycleChecks) {
 }
 
 func TestRecycleScenarioCorpus(t *testing.T) {
-	xrun.CheckMirror(t)
 	checks := xrun.CheckRecycled(t)
 	scenarios, err := tnsgen.LoadCorpus("../tnsgen/corpus")
 	if err != nil {
@@ -50,7 +48,6 @@ func TestRecycleScenarioCorpus(t *testing.T) {
 // TestRecycleCampaign runs TestMirrorCampaign's 40 unsteered programs on
 // mips and ob0.
 func TestRecycleCampaign(t *testing.T) {
-	xrun.CheckMirror(t)
 	checks := xrun.CheckRecycled(t)
 	c := &tnsgen.Campaign{
 		Seed: 1, N: 40, LibraryEvery: 5, AdaptiveEvery: 6,
