@@ -8,7 +8,7 @@ import (
 
 // An Encoder assembles one instruction line of a target's assembly
 // language: op is its lower-cased mnemonic. It reads the line's operands
-// through a's operand methods, naming the Field each one fills, and
+// through a's operand methods, naming the Field each immediate fills, and
 // appends the line's words with Put.
 type Encoder func(a *Asm, op string) error
 
@@ -19,7 +19,7 @@ type Field struct{ Lo, Hi int64 }
 
 // The fields of both targets' encodings.
 var (
-	Signed16   = Field{-1 << 15, 1<<15 - 1} // sign-extended immediates, memory offsets, branch displacements
+	Signed16   = Field{-1 << 15, 1<<15 - 1} // sign-extended immediates, memory offsets (Mem), branch displacements (Disp)
 	Unsigned16 = Field{0, 1<<16 - 1}        // zero-extended immediates and upper halves
 	Shift5     = Field{0, 31}               // shift amounts
 	Code20     = Field{0, 1<<20 - 1}        // BREAK and SYSCALL codes
@@ -256,8 +256,8 @@ func (a *Asm) imm(s string) int64 {
 }
 
 // Mem parses operand i as a memory operand "off(base)"; off is optional,
-// may be a named constant, and must fit f.
-func (a *Asm) Mem(i int, f Field) (off int32, base uint8) {
+// may be a named constant, and must fit Signed16.
+func (a *Asm) Mem(i int) (off int32, base uint8) {
 	s, ok := a.operand(i)
 	if !ok {
 		return 0, 0
@@ -269,20 +269,20 @@ func (a *Asm) Mem(i int, f Field) (off int32, base uint8) {
 		return 0, 0
 	}
 	if l > 0 {
-		off = int32(a.fit(a.imm(s[:l]), f, "offset"))
+		off = int32(a.fit(a.imm(s[:l]), Signed16, "offset"))
 	}
 	return off, a.reg(s[l+1 : r])
 }
 
 // Disp parses operand i as a branch target, a code word index, and
 // returns its displacement in words from the instruction after the
-// branch, which must fit f (0 in pass 1, where the target may be a label
-// not yet defined).
-func (a *Asm) Disp(i int, f Field) int32 {
+// branch, which must fit Signed16 (0 in pass 1, where the target may be a
+// label not yet defined).
+func (a *Asm) Disp(i int) int32 {
 	s, ok := a.operand(i)
 	if !ok || !a.emit {
 		return 0
 	}
 	t := a.fit(a.imm(s), Target26, "branch target")
-	return int32(a.fit(t-int64(a.pc)-1, f, "branch displacement"))
+	return int32(a.fit(t-int64(a.pc)-1, Signed16, "branch displacement"))
 }

@@ -129,12 +129,12 @@ func encodeLine(a *backend.Asm, op string) error {
 	}
 	if o, ok := memOps[op]; ok {
 		ra := a.Reg(0)
-		off, base := a.Mem(1, backend.Signed16)
+		off, base := a.Mem(1)
 		a.Put(EncM(o, ra, base, off))
 		return nil
 	}
 	if o, ok := brOps[op]; ok {
-		a.Put(EncBr(o, a.Disp(0, backend.Signed16)))
+		a.Put(EncBr(o, a.Disp(0)))
 		return nil
 	}
 	return fmt.Errorf("unknown mnemonic %q", op)

@@ -36,7 +36,7 @@ func EncodeLine(a *backend.Asm, op string) error {
 		emitLI(a, a.Reg(0), uint32(a.Imm(1, backend.Word32)))
 		return nil
 	case "b":
-		a.Put(EncBranch(BEQ, RegZero, RegZero, a.Disp(0, backend.Signed16)))
+		a.Put(EncBranch(BEQ, RegZero, RegZero, a.Disp(0)))
 		return nil
 	}
 
@@ -78,7 +78,7 @@ func EncodeLine(a *backend.Asm, op string) error {
 	}
 	if o, ok := memOps[op]; ok {
 		rt := a.Reg(0)
-		off, base := a.Mem(1, backend.Signed16)
+		off, base := a.Mem(1)
 		a.Put(EncMem(o, rt, base, off))
 		return nil
 	}
@@ -89,12 +89,12 @@ func EncodeLine(a *backend.Asm, op string) error {
 		if op == "bne" {
 			o = BNE
 		}
-		a.Put(EncBranch(o, rs, rt, a.Disp(2, backend.Signed16)))
+		a.Put(EncBranch(o, rs, rt, a.Disp(2)))
 		return nil
 	case "blez", "bgtz", "bltz", "bgez":
 		rs := a.Reg(0)
 		o := map[string]Op{"blez": BLEZ, "bgtz": BGTZ, "bltz": BLTZ, "bgez": BGEZ}[op]
-		a.Put(EncBranch(o, rs, 0, a.Disp(1, backend.Signed16)))
+		a.Put(EncBranch(o, rs, 0, a.Disp(1)))
 		return nil
 	case "j", "jal":
 		o := J
