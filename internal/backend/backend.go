@@ -46,8 +46,8 @@ type Encoded struct {
 // Program is a code image decoded once into one target's instruction form
 // (under one timing configuration, for a target that has one). It is
 // immutable: every simulator built from it shares the decoded code
-// read-only, and owns only its registers and pipeline state, and uses the
-// data memory it was given.
+// read-only, owns only its registers and pipeline state, and runs on the
+// data memory its caller hands it.
 type Program interface {
 	// Code returns the raw words the program was decoded from: what a
 	// code-window load reads and what a disassembler lists.

@@ -76,8 +76,8 @@ func BenchmarkRunnerNew(b *testing.B) {
 // drives it: each op is one tnsgen.RunOracle (the interpreter reference,
 // then every level on mips and ob0, with Workers 1) of the next of the
 // first ten programs an unsteered campaign from seed 1 draws, every fifth
-// a user+library pair. Its passes release their runners, so all but the
-// first take recycled simulator memory.
+// a user+library pair. Its passes release their runners, so most take
+// recycled simulator memory.
 func BenchmarkOracle(b *testing.B) {
 	o := tnsgen.DefaultOracle()
 	o.Workers = 1

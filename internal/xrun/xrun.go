@@ -4,7 +4,8 @@
 // the next call or return that finds a register-exact point in the PMap. It
 // builds the run image once per codefile pair (millicode, translated code
 // decoded for the target, packed PMaps, EMaps, attribution tables) and
-// shares it across every runner of that pair, mediates the BREAK/SYSCALL
+// shares it across every runner of that pair, recycles the simulator
+// memory of every runner released after its run, mediates the BREAK/SYSCALL
 // protocol, and accounts cycles separately per execution mode so "time
 // spent in interpreter mode" is measurable, as in the paper.
 package xrun
