@@ -164,7 +164,7 @@ func TestRecycleReleaseTwiceAndUseAfter(t *testing.T) {
 		t.Errorf("after Release: console %q, cycles %v (want 15, %v)", r.Console(), got, cycles)
 	}
 	next := img.NewRunner() // may take r's memory
-	next.SetDataWord(7, 0x4242)
+	next.Sim.WriteHalf(2*7, 0x4242)
 	mustPanic(t, "Run", "Run after Release", func() { _ = r.Run(10_000_000) })
 	mustPanic(t, "Continue", "Run after Release", func() { _ = r.Continue(10_000_000) })
 	mustPanic(t, "ReadHalf", "index out of range", func() { r.Sim.ReadHalf(2 * 7) })
