@@ -104,19 +104,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	f := mustRead(flag.Arg(0))
-	opts := core.Options{Space: uint8(*space), Workers: *workers, Backend: be}
-	switch strings.ToLower(*level) {
-	case "stmtdebug", "statementdebug":
-		opts.Level = codefile.LevelStmtDebug
-	case "default":
-		opts.Level = codefile.LevelDefault
-	case "fast":
-		opts.Level = codefile.LevelFast
-	default:
-		fmt.Fprintf(os.Stderr, "axcel: unknown level %q\n", *level)
+	lvl, err := codefile.ParseLevel(*level)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "axcel: %v\n", err)
 		os.Exit(2)
 	}
+
+	f := mustRead(flag.Arg(0))
+	opts := core.Options{Level: lvl, Space: uint8(*space), Workers: *workers, Backend: be}
 	if *space == 1 {
 		opts.CodeBase = millicode.LibCodeBase
 	}

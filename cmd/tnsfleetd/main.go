@@ -54,7 +54,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -66,18 +65,6 @@ import (
 	"tnsr/internal/tcache"
 	"tnsr/internal/xlate"
 )
-
-func parseLevel(s string) (codefile.AccelLevel, error) {
-	switch strings.ToLower(s) {
-	case "stmtdebug", "stmt-debug", "debug":
-		return codefile.LevelStmtDebug, nil
-	case "default", "":
-		return codefile.LevelDefault, nil
-	case "fast":
-		return codefile.LevelFast, nil
-	}
-	return 0, fmt.Errorf("unknown level %q (want stmtdebug, default or fast)", s)
-}
 
 // holder is the report the HTTP surface serves, swapped in when the run
 // completes. The zero state (nil report) reads as "still running".
@@ -130,7 +117,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	lvl, err := parseLevel(*levelFlag)
+	lvl, err := codefile.ParseLevel(*levelFlag)
 	if err != nil {
 		log.Fatalf("tnsfleetd: %v", err)
 	}

@@ -33,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"tnsr/internal/bench"
 	"tnsr/internal/codefile"
@@ -42,18 +41,6 @@ import (
 	"tnsr/internal/profsrv"
 	"tnsr/internal/xrun"
 )
-
-func parseLevel(s string) (codefile.AccelLevel, error) {
-	switch strings.ToLower(s) {
-	case "stmtdebug", "stmt-debug", "debug":
-		return codefile.LevelStmtDebug, nil
-	case "default", "":
-		return codefile.LevelDefault, nil
-	case "fast":
-		return codefile.LevelFast, nil
-	}
-	return 0, fmt.Errorf("unknown level %q (want stmtdebug, default or fast)", s)
-}
 
 func main() {
 	level := flag.String("level", "default", "acceleration level: stmtdebug, default or fast")
@@ -92,7 +79,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "run tnsprof -list for the available names")
 		os.Exit(2)
 	}
-	lvl, err := parseLevel(*level)
+	lvl, err := codefile.ParseLevel(*level)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tnsprof: %v\n", err)
 		os.Exit(2)
@@ -104,7 +91,7 @@ func main() {
 		if *push != "" {
 			o.Source = profsrv.NewClient(*push, *pushToken)
 		}
-		prof, prep, err := bench.CaptureWorkloadOpts(flag.Arg(0), lvl, *iters, o)
+		prof, prep, err := bench.CaptureWorkload(flag.Arg(0), lvl, *iters, o)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tnsprof: %v\n", err)
 			os.Exit(1)

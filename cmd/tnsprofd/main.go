@@ -4,7 +4,7 @@
 // merges them order-independently under the fingerprint of the codefile
 // they were captured against, ages the aggregate across runs so stale
 // behavior decays, and serves the aggregate back to any machine about to
-// translate the same codefile (axcel -profile-url, xrun.RunAdaptiveOpts).
+// translate the same codefile (axcel -profile-url, xrun.RunAdaptive).
 //
 // Usage:
 //

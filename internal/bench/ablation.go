@@ -7,6 +7,7 @@ import (
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
 	"tnsr/internal/workloads"
+	"tnsr/internal/xrun"
 )
 
 // AblationRow quantifies one disabled optimization.
@@ -37,7 +38,7 @@ func Ablate(name string, iterations int) ([]AblationRow, error) {
 		}},
 	}
 	var rows []AblationRow
-	var wantOut string
+	var want *xrun.Outcome
 	for _, v := range variants {
 		w := workloads.MustBuild(name, iterations)
 		opts := core.Options{Level: codefile.LevelDefault, LibSummaries: w.LibSummaries}
@@ -56,10 +57,10 @@ func Ablate(name string, iterations int) ([]AblationRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.label, err)
 		}
-		if wantOut == "" {
-			wantOut = r.Console()
-		} else if r.Console() != wantOut {
-			return nil, fmt.Errorf("%s: output changed: %q vs %q", v.label, r.Console(), wantOut)
+		if want == nil {
+			want = r.Outcome()
+		} else if err := want.Check(r.Outcome()); err != nil {
+			return nil, fmt.Errorf("%s: outcome changed: %w", v.label, err)
 		}
 		total, _, _ := r.Cycles()
 		st := w.User.Accel.Stats

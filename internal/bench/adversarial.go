@@ -6,13 +6,14 @@ import (
 	"tnsr/internal/tnsasm"
 )
 
-// adversarialProgram builds the E6/E9 test subject: a compute loop whose
-// occasional indirect call returns TWO result words with no SETRP clue, so
-// the Accelerator's pattern guess (one word, because a STOR follows) is
-// wrong and the run-time RP check sends each such call into interpreter
-// mode. The calls are rare relative to the loop work, so residency stays
-// small — the situation the paper describes for unhinted programs.
-func adversarialProgram() (*codefile.File, error) {
+// AdversarialProgram builds a fresh copy of the E6/E9 test subject: a
+// compute loop whose occasional indirect call returns TWO result words
+// with no SETRP clue, so the Accelerator's pattern guess (one word,
+// because a STOR follows) is wrong and the run-time RP check sends each
+// such call into interpreter mode. The calls are rare relative to the
+// loop work, so residency stays small — the situation the paper describes
+// for unhinted programs.
+func AdversarialProgram() (*codefile.File, error) {
 	return tnsasm.Assemble("adversarial", `
 GLOBALS 16
 MAIN main

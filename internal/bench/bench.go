@@ -24,6 +24,7 @@ import (
 	"tnsr/internal/risc"
 	"tnsr/internal/tns"
 	"tnsr/internal/workloads"
+	"tnsr/internal/xrun"
 )
 
 // Target selects the RISC backend the measurements translate for; nil is
@@ -91,14 +92,14 @@ func MeasureWorkload(name string, iterations int) (*Row, error) {
 	// machine and the Cyclone/R software interpreter.
 	ref := workloads.MustBuild(name, iterations)
 	m := interp.New(ref.User, ref.Lib)
-	if err := m.Run(2_000_000_000); err != nil {
+	want, err := xrun.Interpret(m, 2_000_000_000)
+	if err != nil {
 		return nil, err
 	}
 	if m.Trap != tns.TrapNone {
 		return nil, fmt.Errorf("%s: trap %d at %d", name, m.Trap, m.TrapP)
 	}
 	row.Prof = m.Prof
-	wantOut := m.Console.String()
 
 	for _, cm := range machine.CISCModels {
 		row.CISCTime[cm.Name] = cm.Seconds(cm.Cycles(&m.Prof.Counts, m.Prof.LongUnits))
@@ -123,9 +124,8 @@ func MeasureWorkload(name string, iterations int) (*Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", name, lvl, err)
 		}
-		if got := r.Console(); got != wantOut {
-			return nil, fmt.Errorf("%s/%s: output %q != interpreter %q",
-				name, lvl, got, wantOut)
+		if err := want.Check(r.Outcome()); err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", name, lvl, err)
 		}
 		total, riscCyc, _ := r.Cycles()
 		row.AccelTime[lvl] = total / (machine.CycloneRClockMHz * 1e6)

@@ -161,7 +161,7 @@ func ExitLookupCycles() (int64, error) {
 // interpreter mode, even without hints", plus the effect of supplying
 // ReturnValSize hints.
 func AdversarialResidency() (noHints, withHints float64, err error) {
-	f1, err := adversarialProgram()
+	f1, err := AdversarialProgram()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -177,7 +177,7 @@ func AdversarialResidency() (noHints, withHints float64, err error) {
 	}
 	noHints = r1.InterpFraction()
 
-	f2, err := adversarialProgram()
+	f2, err := AdversarialProgram()
 	if err != nil {
 		return 0, 0, err
 	}

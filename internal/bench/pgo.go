@@ -12,19 +12,15 @@ import (
 )
 
 // CaptureWorkload runs the named workload or example exactly like
-// ProfileWorkload, but with a PGO capture attached alongside the telemetry
-// recorder, and returns the captured profile with the execution report.
-// This is what `tnsprof -emit-profile` writes to disk.
-func CaptureWorkload(name string, level codefile.AccelLevel, iterations int) (*pgo.Profile, *obs.Report, error) {
-	return CaptureWorkloadOpts(name, level, iterations, xrun.AdaptiveOptions{})
-}
-
-// CaptureWorkloadOpts is CaptureWorkload with the fleet knobs exposed: a
-// Source pushes the capture through a tnsprofd daemon (the second pass then
-// runs under the fleet aggregate, `tnsprof -push`), a Cache serves the
-// translations. Level, Budget and Config in o are overwritten from the
-// workload parameters.
-func CaptureWorkloadOpts(name string, level codefile.AccelLevel, iterations int,
+// ProfileWorkload, but through the adaptive two-pass cycle with a PGO
+// capture attached alongside the telemetry recorder, and returns the
+// captured profile with the second pass's execution report. This is what
+// `tnsprof -emit-profile` writes to disk. A Source in o pushes the capture
+// through a tnsprofd daemon (the second pass then runs under the fleet
+// aggregate, `tnsprof -push`), a Cache serves the translations; Level,
+// Budget, Config and LibSummaries in o are overwritten from the workload
+// parameters.
+func CaptureWorkload(name string, level codefile.AccelLevel, iterations int,
 	o xrun.AdaptiveOptions) (*pgo.Profile, *obs.Report, error) {
 
 	user, lib, summaries, err := buildProfiled(name, iterations)
@@ -35,15 +31,15 @@ func CaptureWorkloadOpts(name string, level codefile.AccelLevel, iterations int,
 	o.Budget = 4_000_000_000
 	o.Config = CycloneRConfig()
 	o.LibSummaries = summaries
-	res, err := xrun.RunAdaptiveOpts(user, lib, o)
+	res, err := xrun.RunAdaptive(user, lib, o)
 	if err != nil {
 		return nil, nil, err
 	}
 	for _, serr := range res.SourceErrs {
 		fmt.Fprintf(os.Stderr, "warning: %v\n", serr)
 	}
-	if res.Trap != tns.TrapNone {
-		return nil, nil, fmt.Errorf("%s: trap %d at %d", name, res.Trap, res.TrapP)
+	if r := res.Second; r.Trap != tns.TrapNone {
+		return nil, nil, fmt.Errorf("%s: trap %d at %d", name, r.Trap, r.TrapP)
 	}
 	res.Profile.Workload = name
 	rep := res.Second.Report(res.SecondObs)
@@ -56,33 +52,16 @@ func CaptureWorkloadOpts(name string, level codefile.AccelLevel, iterations int,
 // run escapes at every indirect call's return point; the captured dynamic
 // RP corrects the guess in pass 2, which should drive rp-conflict escapes
 // to zero and shrink interpreter-mode residency — the automated version of
-// the hand-written hints AdversarialResidency measures.
-func AdaptiveAdversarial(budget int64) (*xrun.AdaptiveResult, error) {
-	f, err := adversarialProgram()
-	if err != nil {
-		return nil, err
-	}
-	return xrun.RunAdaptive(f, nil, nil, codefile.LevelDefault, 0, budget, CycloneRConfig())
-}
-
-// AdversarialProgram builds a fresh copy of the adversarial workload — the
-// program whose XCAL result sizes static analysis must guess wrong — for
-// callers (the fleet e2e harness) that need the codefile itself rather
-// than a canned cycle.
-func AdversarialProgram() (*codefile.File, error) {
-	return adversarialProgram()
-}
-
-// AdaptiveAdversarialOpts is AdaptiveAdversarial with the fleet knobs
-// exposed: a remote profile source and/or a persistent retranslation
-// cache, threaded straight into RunAdaptiveOpts.
-func AdaptiveAdversarialOpts(budget int64, o xrun.AdaptiveOptions) (*xrun.AdaptiveResult, error) {
-	f, err := adversarialProgram()
+// the hand-written hints AdversarialResidency measures. A Source and a
+// Cache in o close the loop through a profile service and serve the
+// translations; the other fields of o are overwritten.
+func AdaptiveAdversarial(budget int64, o xrun.AdaptiveOptions) (*xrun.AdaptiveResult, error) {
+	f, err := AdversarialProgram()
 	if err != nil {
 		return nil, err
 	}
 	o.Level = codefile.LevelDefault
 	o.Budget = budget
 	o.Config = CycloneRConfig()
-	return xrun.RunAdaptiveOpts(f, nil, o)
+	return xrun.RunAdaptive(f, nil, o)
 }

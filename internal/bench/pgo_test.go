@@ -8,6 +8,7 @@ import (
 	"tnsr/internal/obs"
 	"tnsr/internal/pgo"
 	"tnsr/internal/workloads"
+	"tnsr/internal/xrun"
 )
 
 // TestRunAdaptiveAdversarial is the PGO acceptance test: on the adversarial
@@ -16,11 +17,11 @@ import (
 // measurably shrink interpreter residency, while both passes stay
 // observationally identical (RunAdaptive itself errors on divergence).
 func TestRunAdaptiveAdversarial(t *testing.T) {
-	res, err := AdaptiveAdversarial(200_000_000)
+	res, err := AdaptiveAdversarial(200_000_000, xrun.AdaptiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Halted {
+	if !res.Second.Halted {
 		t.Fatal("adversarial program did not halt")
 	}
 	f1, f2 := res.InterpFractions()
@@ -54,7 +55,7 @@ func TestRunAdaptiveAdversarial(t *testing.T) {
 // a real workload, serialize, reparse, and confirm the bytes are stable and
 // the profile carries residency for the space that actually ran.
 func TestCaptureWorkloadRoundTrip(t *testing.T) {
-	prof, rep, err := CaptureWorkload("dhry16", codefile.LevelDefault, 5)
+	prof, rep, err := CaptureWorkload("dhry16", codefile.LevelDefault, 5, xrun.AdaptiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestCaptureWorkloadRoundTrip(t *testing.T) {
 // adversarial program (the workload the subsystem exists for).
 func BenchmarkAdversarialAdaptive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := AdaptiveAdversarial(200_000_000)
+		res, err := AdaptiveAdversarial(200_000_000, xrun.AdaptiveOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

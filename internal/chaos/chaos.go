@@ -1,9 +1,10 @@
 // Package chaos is the fault-injection harness: seeded, reproducible
 // mutators over serialized codefiles, plus the differential oracle that
 // states the system's integrity contract — every mutant is either rejected
-// at load with a typed *codefile.ErrCorrupt, or it executes with output
-// identical to a pure-interpreter run of the pristine program. No panics,
-// no silent divergence.
+// at load with a typed *codefile.ErrCorrupt, or it executes to an outcome
+// identical (xrun.Outcome.Check: halt state, trap, exit status, console and
+// data memory) to a pure-interpreter run of the pristine program. No
+// panics, no silent divergence.
 //
 // Two mutator families exercise the two defense layers:
 //
@@ -107,7 +108,7 @@ const (
 	// Rejected: codefile.Read returned a typed *ErrCorrupt.
 	Rejected Outcome = iota
 	// RanIdentical: the mutant loaded (possibly with its acceleration
-	// dropped) and produced output identical to the pristine interpreter.
+	// dropped) and ran to the pristine interpreter's outcome.
 	RanIdentical
 )
 
@@ -137,10 +138,8 @@ type Reference struct {
 
 	LibSummaries map[uint16]int8
 
-	// The pristine program's behavior under the pure interpreter.
-	Console string
-	Exit    uint16
-	Trap    int
+	// Want is the pristine program's outcome under the pure interpreter.
+	Want *xrun.Outcome
 }
 
 // NewReference builds, accelerates and characterizes one workload.
@@ -164,13 +163,11 @@ func NewReferenceFromFiles(name string, user, lib *codefile.File,
 
 	// The oracle's ground truth: the pure interpreter on the pristine,
 	// unaccelerated program.
-	m := interp.New(user, lib)
-	if err := m.Run(budget); err != nil {
-		return nil, fmt.Errorf("chaos: %s reference run: %w", name, err)
+	want, err := xrun.Interpret(interp.New(user, lib), budget)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %s: %w", name, err)
 	}
-	ref.Console = m.Console.String()
-	ref.Exit = m.ExitStatus
-	ref.Trap = m.Trap
+	ref.Want = want
 
 	opts := core.Options{Level: codefile.LevelDefault, LibSummaries: libSummaries}
 	if err := core.Accelerate(user, opts); err != nil {
@@ -396,37 +393,16 @@ func (ref *Reference) Check(mu *Mutant, budget int64) (outcome Outcome, err erro
 	if nerr != nil {
 		return 0, fmt.Errorf("runner construction failed: %v", nerr)
 	}
-	err = runIdentical(ref, r, budget)
+	rerr := r.Run(budget)
+	got := r.Outcome()
 	// Reached only when the run returned: a mutant that panicked leaves
 	// its simulator memory to the garbage collector.
 	r.Release()
-	if err != nil {
-		return 0, err
+	if rerr != nil {
+		return 0, fmt.Errorf("run failed: %v", rerr)
+	}
+	if err := ref.Want.Check(got); err != nil {
+		return 0, fmt.Errorf("silent divergence: %w", err)
 	}
 	return RanIdentical, nil
-}
-
-// runIdentical runs a mutant's runner and requires the pristine
-// interpreter's observable behavior.
-func runIdentical(ref *Reference, r *xrun.Runner, budget int64) error {
-	if err := r.Run(budget); err != nil {
-		return fmt.Errorf("run failed: %v", err)
-	}
-	if got, want := r.Console(), ref.Console; got != want {
-		return fmt.Errorf("silent divergence: console %q, want %q", clip(got), clip(want))
-	}
-	if r.ExitStatus != ref.Exit {
-		return fmt.Errorf("silent divergence: exit %d, want %d", r.ExitStatus, ref.Exit)
-	}
-	if r.Trap != ref.Trap {
-		return fmt.Errorf("silent divergence: trap %d, want %d", r.Trap, ref.Trap)
-	}
-	return nil
-}
-
-func clip(s string) string {
-	if len(s) > 120 {
-		return s[:120] + "..."
-	}
-	return s
 }

@@ -13,10 +13,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
 	"sort"
+	"strings"
 )
 
 // Proc describes one procedure in the PEP table.
@@ -84,6 +86,21 @@ func (l AccelLevel) String() string {
 		return "Fast"
 	}
 	return "None"
+}
+
+// ParseLevel reads a translation level as the commands spell it on their
+// command lines, ignoring case: "stmtdebug" ("stmt-debug",
+// "statementdebug", "debug"), "default" (or empty) and "fast".
+func ParseLevel(s string) (AccelLevel, error) {
+	switch strings.ToLower(s) {
+	case "stmtdebug", "stmt-debug", "statementdebug", "debug":
+		return LevelStmtDebug, nil
+	case "default", "":
+		return LevelDefault, nil
+	case "fast":
+		return LevelFast, nil
+	}
+	return 0, fmt.Errorf("unknown level %q (want stmtdebug, default or fast)", s)
 }
 
 // AccelSection is the augmentation appended by the Accelerator.

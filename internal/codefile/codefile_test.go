@@ -281,3 +281,28 @@ func TestReadFuzz(t *testing.T) {
 		}
 	}
 }
+
+// TestParseLevel: every spelling a command accepts, in any case, and a
+// typed refusal for the rest.
+func TestParseLevel(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want AccelLevel
+	}{
+		{"stmtdebug", LevelStmtDebug}, {"stmt-debug", LevelStmtDebug},
+		{"statementdebug", LevelStmtDebug}, {"debug", LevelStmtDebug},
+		{"StmtDebug", LevelStmtDebug}, {"DEBUG", LevelStmtDebug},
+		{"default", LevelDefault}, {"", LevelDefault}, {"Default", LevelDefault},
+		{"fast", LevelFast}, {"FAST", LevelFast},
+	} {
+		got, err := ParseLevel(c.in)
+		if err != nil || got != c.want {
+			t.Errorf("ParseLevel(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+	for _, in := range []string{"none", "stmt", "fastest", "1", " fast"} {
+		if got, err := ParseLevel(in); err == nil {
+			t.Errorf("ParseLevel(%q) = %v, want an error", in, got)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"tnsr/internal/interp"
 	"tnsr/internal/risc"
 	"tnsr/internal/tnsasm"
+	"tnsr/internal/tnsgen"
 	"tnsr/internal/xrun"
 )
 
@@ -17,8 +18,8 @@ import (
 // "calculates the same answers as the TNS code, and does exactly the same
 // sequence of stores into memory". These tests run the same program through
 // the pure interpreter and through the Accelerator + mixed-mode runtime at
-// every option level and compare final memory, console output, traps and
-// exit status.
+// every option level and compare halt state, trap, exit status, console
+// output and final memory (xrun.Outcome.Check).
 
 var levels = []codefile.AccelLevel{
 	codefile.LevelStmtDebug, codefile.LevelDefault, codefile.LevelFast,
@@ -30,72 +31,20 @@ func runFidelity(t *testing.T, name, src string) {
 	runFidelityLib(t, name, src, "")
 }
 
+// runFidelityLib holds src (with libSrc as its system library, if any) to
+// the pure interpreter at every level through the generator's oracle:
+// xrun.Outcome.Check on every pass, plus the telemetry audit.
 func runFidelityLib(t *testing.T, name, src, libSrc string) {
 	t.Helper()
-	// Reference: pure interpretation.
-	ref := tnsasm.MustAssemble(name, src)
-	var refLib *codefile.File
-	if libSrc != "" {
-		refLib = tnsasm.MustAssemble(name+"-lib", libSrc)
-	}
-	m := interp.New(ref, refLib)
-	m.Run(3_000_000)
-
 	for _, lvl := range levels {
 		lvl := lvl
 		t.Run(lvl.String(), func(t *testing.T) {
-			f := tnsasm.MustAssemble(name, src)
-			var lib *codefile.File
-			opts := core.Options{Level: lvl}
-			if libSrc != "" {
-				lib = tnsasm.MustAssemble(name+"-lib", libSrc)
-				libOpts := core.Options{Level: lvl, CodeBase: 0x80000, Space: 1}
-				if err := core.Accelerate(lib, libOpts); err != nil {
-					t.Fatalf("accelerate lib: %v", err)
-				}
-				// Library summaries for SCAL result sizes.
-				opts.LibSummaries = map[uint16]int8{}
-				for i, p := range lib.Procs {
-					opts.LibSummaries[uint16(i)] = p.ResultWords
-				}
-			}
-			if err := core.Accelerate(f, opts); err != nil {
-				t.Fatalf("accelerate: %v", err)
-			}
-			r, err := xrun.New(f, lib, risc.Config{MulLatency: 12, DivLatency: 35})
-			if err != nil {
+			o := tnsgen.DefaultOracle()
+			o.Levels = []codefile.AccelLevel{lvl}
+			if _, err := tnsgen.RunOracle(&tnsgen.Subject{Name: name, User: src, Lib: libSrc}, o); err != nil {
 				t.Fatal(err)
 			}
-			if err := r.Run(20_000_000); err != nil {
-				t.Fatalf("run: %v (interludes=%d)", err, r.Interludes)
-			}
-			compareRuns(t, m, r)
 		})
-	}
-}
-
-func compareRuns(t *testing.T, m *interp.Machine, r *xrun.Runner) {
-	t.Helper()
-	if m.Halted != r.Halted {
-		t.Fatalf("halted: interp=%v accel=%v", m.Halted, r.Halted)
-	}
-	if m.Trap != r.Trap {
-		t.Fatalf("trap: interp=%d accel=%d (at %d vs %d)", m.Trap, r.Trap, m.TrapP, r.TrapP)
-	}
-	if m.Trap == 0 && m.ExitStatus != r.ExitStatus {
-		t.Errorf("exit status: interp=%d accel=%d", m.ExitStatus, r.ExitStatus)
-	}
-	if got, want := r.Console(), m.Console.String(); got != want {
-		t.Errorf("console: accel=%q interp=%q", got, want)
-	}
-	if m.Trap != 0 {
-		return // memory at trap time may legitimately differ midway
-	}
-	for i := range m.Mem {
-		if m.Mem[i] != r.Int.Mem[i] {
-			t.Fatalf("memory differs at word %d: interp=%04x accel=%04x",
-				i, m.Mem[i], r.Int.Mem[i])
-		}
 	}
 }
 
@@ -661,22 +610,10 @@ PROC main
   EXIT 0
 ENDPROC
 `
-	ref := tnsasm.MustAssemble("ovf", src)
-	m := interp.New(ref, nil)
-	m.Run(10000)
-	for _, lvl := range []codefile.AccelLevel{codefile.LevelStmtDebug, codefile.LevelDefault} {
-		f := tnsasm.MustAssemble("ovf", src)
-		if err := core.Accelerate(f, core.Options{Level: lvl}); err != nil {
-			t.Fatal(err)
-		}
-		r, err := xrun.New(f, nil, risc.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Run(100000); err != nil {
-			t.Fatal(err)
-		}
-		compareRuns(t, m, r)
+	o := tnsgen.DefaultOracle()
+	o.Levels = []codefile.AccelLevel{codefile.LevelStmtDebug, codefile.LevelDefault}
+	if _, err := tnsgen.RunOracle(&tnsgen.Subject{Name: "ovf", User: src}, o); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -903,9 +840,8 @@ func TestScaleLargeProgram(t *testing.T) {
 		sb.WriteString("PROC main\n  LDI 1\n  ADDS 1\n  STOR S-0\n  PCAL p119\n  STOR G+0\n  EXIT 0\nENDPROC\n")
 		return tnsasm.MustAssemble("big", sb.String())
 	}
-	ref := w()
-	m := interp.New(ref, nil)
-	if err := m.Run(1_000_000); err != nil {
+	want, err := xrun.Interpret(interp.New(w(), nil), 1_000_000)
+	if err != nil {
 		t.Fatal(err)
 	}
 	f := w()
@@ -922,9 +858,11 @@ func TestScaleLargeProgram(t *testing.T) {
 	if err := r.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
-	compareRuns(t, m, r)
-	if m.Mem[0] != 121 {
-		t.Errorf("chain result = %d, want 121", m.Mem[0])
+	if err := want.Check(r.Outcome()); err != nil {
+		t.Fatal(err)
+	}
+	if want.Mem[0] != 121 {
+		t.Errorf("chain result = %d, want 121", want.Mem[0])
 	}
 }
 

@@ -68,9 +68,10 @@ func TestTranslationListing(t *testing.T) {
 		}
 	}
 	// And it runs correctly.
-	ref := tnsasm.MustAssemble("fib", fibSrc)
-	m := interp.New(ref, nil)
-	m.Run(100000)
+	want, err := xrun.Interpret(interp.New(tnsasm.MustAssemble("fib", fibSrc), nil), 100000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r, err := xrun.New(f, nil, risc.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +79,10 @@ func TestTranslationListing(t *testing.T) {
 	if err := r.Run(1000000); err != nil {
 		t.Fatal(err)
 	}
-	if m.Mem[0] != r.Int.Mem[0] || m.Mem[0] != 2 {
-		t.Errorf("fib(3): interp=%d accel=%d want 2", m.Mem[0], r.Int.Mem[0])
+	if err := want.Check(r.Outcome()); err != nil {
+		t.Error(err)
+	}
+	if want.Mem[0] != 2 {
+		t.Errorf("fib(3) = %d, want 2", want.Mem[0])
 	}
 }

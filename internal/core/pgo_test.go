@@ -184,7 +184,8 @@ ENDPROC
 // (RunAdaptive verifies that itself).
 func TestProfileConfirmsConflictJoin(t *testing.T) {
 	build := func() *codefile.File { return tnsasm.MustAssemble("conflict", conflictProg) }
-	res, err := xrun.RunAdaptive(build(), nil, nil, codefile.LevelDefault, 0, 1_000_000, risc.Config{})
+	res, err := xrun.RunAdaptive(build(), nil, xrun.AdaptiveOptions{
+		Level: codefile.LevelDefault, Budget: 1_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,32 +202,29 @@ func TestProfileConfirmsConflictJoin(t *testing.T) {
 
 // profiledDiffSweep is the profile-fed arm of the differential sweep: the
 // pure interpreter is the reference, and the two RunAdaptive passes (the
-// second translated with the pass-1 profile) must match it exactly.
+// second translated with the pass-1 profile, and checked against the first
+// inside RunAdaptive) must match it exactly.
 func profiledDiffSweep(t *testing.T, lvl codefile.AccelLevel,
 	build func() (*codefile.File, *codefile.File, map[uint16]int8)) {
 	t.Helper()
 
 	user, lib, _ := build()
-	m := interp.New(user, lib)
-	m.Run(30_000_000)
-
-	auser, alib, summaries := build()
-	res, err := xrun.RunAdaptive(auser, alib, summaries, lvl, 4, 200_000_000,
-		risc.Config{MulLatency: 12, DivLatency: 35})
+	want, err := xrun.Interpret(interp.New(user, lib), 30_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Halted != res.Halted {
-		t.Fatalf("halted: interp=%v profiled=%v", m.Halted, res.Halted)
+
+	auser, alib, summaries := build()
+	res, err := xrun.RunAdaptive(auser, alib, xrun.AdaptiveOptions{
+		Level: lvl, Workers: 4, Budget: 200_000_000,
+		Config:       risc.Config{MulLatency: 12, DivLatency: 35},
+		LibSummaries: summaries,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.Trap != res.Trap {
-		t.Fatalf("trap: interp=%d profiled=%d", m.Trap, res.Trap)
-	}
-	if m.Trap == 0 && m.ExitStatus != res.ExitStatus {
-		t.Errorf("exit status: interp=%d profiled=%d", m.ExitStatus, res.ExitStatus)
-	}
-	if got, want := res.Console, m.Console.String(); got != want {
-		t.Errorf("console: profiled=%q interp=%q", got, want)
+	if err := want.Check(res.Second.Outcome()); err != nil {
+		t.Error(err)
 	}
 	if err := pgo.Validate(res.Profile); err != nil {
 		t.Errorf("captured profile invalid: %v", err)
@@ -263,8 +261,9 @@ func TestParallelDeterminismProfiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := xrun.RunAdaptive(w.User, w.Lib, w.LibSummaries,
-		codefile.LevelDefault, 0, 200_000_000, risc.Config{})
+	res, err := xrun.RunAdaptive(w.User, w.Lib, xrun.AdaptiveOptions{
+		Level: codefile.LevelDefault, Budget: 200_000_000,
+		LibSummaries: w.LibSummaries})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"tnsr/internal/chaos"
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
+	"tnsr/internal/interp"
 	"tnsr/internal/machine"
 	"tnsr/internal/millicode"
 	"tnsr/internal/obs"
@@ -257,14 +258,14 @@ func Run(cfg Config) (*FleetReport, error) {
 				}
 			}
 		}
-		oracle, err := interpReference(user, lib, cfg.Budget)
+		want, err := xrun.Interpret(interp.New(user, lib), cfg.Budget)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fleet: %w", err)
 		}
 		cfg.progress("round %d/%d: %d machines (%d chaos), level %s",
 			round, cfg.Rounds, cfg.Machines, cfg.ChaosMachines, cfg.Level)
 
-		results := runRound(&cfg, round, user, lib, ref, oracle)
+		results := runRound(&cfg, round, user, lib, ref, want)
 		rr, captures := aggregateRound(&cfg, round, results)
 		fr.Rounds = append(fr.Rounds, rr)
 		localCaptures = captures
@@ -328,7 +329,7 @@ func buildShared(cfg *Config, prof *pgo.Profile) (*codefile.File, *codefile.File
 // pristine CISC view of the SHARED files — the machine serves interpreted,
 // alone in its degradation.
 func runRound(cfg *Config, round int, user, lib *codefile.File,
-	ref *chaos.Reference, oracle reference) []*machineResult {
+	ref *chaos.Reference, want *xrun.Outcome) []*machineResult {
 
 	// A shared image that fails to build leaves image nil: every standard
 	// machine then builds its own and fails with the same load error.
@@ -343,7 +344,7 @@ func runRound(cfg *Config, round int, user, lib *codefile.File,
 			image:    image,
 			user:     user,
 			lib:      lib,
-			ref:      oracle,
+			want:     want,
 			cfg:      cfg.Config,
 			budget:   cfg.Budget,
 			txns:     cfg.TxnsPerMachine,

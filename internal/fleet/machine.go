@@ -16,7 +16,6 @@ import (
 	"math/rand"
 
 	"tnsr/internal/codefile"
-	"tnsr/internal/interp"
 	"tnsr/internal/obs"
 	"tnsr/internal/pgo"
 	"tnsr/internal/risc"
@@ -28,7 +27,8 @@ type State int
 
 const (
 	// Serving: the machine ran its transactions in mixed mode and its
-	// output matched the interpreter reference.
+	// outcome (halt state, trap, exit status, console and data memory)
+	// matched the interpreter reference.
 	Serving State = iota
 	// Degraded: the machine served its transactions, but fully (or
 	// partially) interpreted — its acceleration was rejected at load or
@@ -48,14 +48,6 @@ func (s State) String() string {
 		return stateNames[s]
 	}
 	return "invalid"
-}
-
-// reference is the ground truth every machine's output is checked against:
-// the pure interpreter's behavior on the pristine program.
-type reference struct {
-	Console string
-	Exit    uint16
-	Trap    int
 }
 
 // machineResult is what one machine hands back to the host for one round.
@@ -87,7 +79,7 @@ type machineSpec struct {
 	image    *xrun.Image
 	user     *codefile.File
 	lib      *codefile.File
-	ref      reference
+	want     *xrun.Outcome // the round's pure-interpreter reference
 	cfg      risc.Config
 	budget   int64
 	txns     int
@@ -163,11 +155,9 @@ func serve(spec *machineSpec, r *xrun.Runner, res *machineResult) {
 	// quarantined, degraded, or mutated — its observable behavior must be
 	// the pristine interpreter's. A divergent machine is withheld from the
 	// fleet entirely.
-	if !r.Halted || r.Console() != spec.ref.Console ||
-		r.ExitStatus != spec.ref.Exit || r.Trap != spec.ref.Trap {
+	if err := spec.want.Check(r.Outcome()); err != nil {
 		res.state = Failed
-		res.stateReason = fmt.Sprintf("output diverged (halted=%v trap=%d exit=%d)",
-			r.Halted, r.Trap, r.ExitStatus)
+		res.stateReason = "output diverged: " + err.Error()
 		return
 	}
 
@@ -232,16 +222,6 @@ func simulateArrivals(spec *machineSpec, r *xrun.Runner) (txns int64, elapsed fl
 		lat.Record(int64((completion - arrival) * 1e9))
 	}
 	return int64(n), completion, lat
-}
-
-// interpReference characterizes the pristine program under the pure
-// interpreter: the behavior every fleet machine must reproduce.
-func interpReference(user, lib *codefile.File, budget int64) (reference, error) {
-	m := interp.New(user, lib)
-	if err := m.Run(budget); err != nil {
-		return reference{}, fmt.Errorf("fleet: reference run: %w", err)
-	}
-	return reference{Console: m.Console.String(), Exit: m.ExitStatus, Trap: m.Trap}, nil
 }
 
 // parseImage loads one serialized codefile; it is how chaos machines get

@@ -50,7 +50,7 @@ func captureRunnerProfiles(t *testing.T) []*pgo.Profile {
 	for _, lvl := range []codefile.AccelLevel{
 		codefile.LevelStmtDebug, codefile.LevelDefault, codefile.LevelFast,
 	} {
-		p, _, err := bench.CaptureWorkload("tal", lvl, 2)
+		p, _, err := bench.CaptureWorkload("tal", lvl, 2, xrun.AdaptiveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,21 +167,21 @@ func TestFleetAggregateOrderIndependent(t *testing.T) {
 func TestFleetSteersRetranslation(t *testing.T) {
 	const budget = 200_000_000
 
-	local, err := bench.AdaptiveAdversarial(budget)
+	local, err := bench.AdaptiveAdversarial(budget, xrun.AdaptiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	_, cl := newFleet(t, nil)
-	remote, err := bench.AdaptiveAdversarialOpts(budget, xrun.AdaptiveOptions{Source: cl})
+	remote, err := bench.AdaptiveAdversarial(budget, xrun.AdaptiveOptions{Source: cl})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range remote.SourceErrs {
 		t.Errorf("cycle degraded around source error: %v", e)
 	}
-	if !remote.Halted || remote.Console != local.Console || remote.ExitStatus != local.ExitStatus {
-		t.Fatal("remote-steered cycle diverged observably from the local cycle")
+	if err := local.Second.Outcome().Check(remote.Second.Outcome()); err != nil {
+		t.Fatalf("remote-steered cycle diverged observably from the local cycle: %v", err)
 	}
 
 	// The aggregate served back for pass 2 is the merge of exactly one
@@ -234,7 +234,7 @@ func TestFleetSecondMachineBenefit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first, err := bench.AdaptiveAdversarialOpts(budget, xrun.AdaptiveOptions{Source: cl, Cache: cache})
+	first, err := bench.AdaptiveAdversarial(budget, xrun.AdaptiveOptions{Source: cl, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,15 +245,15 @@ func TestFleetSecondMachineBenefit(t *testing.T) {
 		t.Fatalf("machine 1 hit a cold cache %d times", h)
 	}
 
-	second, err := bench.AdaptiveAdversarialOpts(budget, xrun.AdaptiveOptions{Source: cl, Cache: cache})
+	second, err := bench.AdaptiveAdversarial(budget, xrun.AdaptiveOptions{Source: cl, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range second.SourceErrs {
 		t.Errorf("machine 2 degraded around source error: %v", e)
 	}
-	if second.Console != first.Console || second.ExitStatus != first.ExitStatus {
-		t.Fatal("machine 2 diverged observably from machine 1")
+	if err := first.Second.Outcome().Check(second.Second.Outcome()); err != nil {
+		t.Fatalf("machine 2 diverged observably from machine 1: %v", err)
 	}
 	// Machine 2's FIRST pass already ran under the fleet aggregate: the
 	// cold escapes machine 1 paid never happen again anywhere in the fleet.

@@ -125,10 +125,9 @@ func RunOracle(s *Subject, o OracleOptions) (res *Result, err error) {
 	if err != nil {
 		return res, err
 	}
-	m := interp.New(ref, refLib)
-	m.Run(o.InterpBudget)
-	if !m.Halted {
-		return res, fmt.Errorf("reference run did not halt within %d instructions", o.InterpBudget)
+	want, err := xrun.Interpret(interp.New(ref, refLib), o.InterpBudget)
+	if err != nil {
+		return res, err
 	}
 
 	backends := o.Backends
@@ -141,24 +140,24 @@ func RunOracle(s *Subject, o OracleOptions) (res *Result, err error) {
 			name = be.Name()
 		}
 		for _, lvl := range o.Levels {
-			if err := o.pass(s, m, lvl, be, nil, false, res); err != nil {
+			if err := o.pass(s, want, lvl, be, nil, false, res); err != nil {
 				return res, fmt.Errorf("backend %s level %s: %w", name, lvl, err)
 			}
 			if len(s.Cold) > 0 {
 				sel := selectWarm(ref, s.Cold)
-				if err := o.pass(s, m, lvl, be, sel, false, res); err != nil {
+				if err := o.pass(s, want, lvl, be, sel, false, res); err != nil {
 					return res, fmt.Errorf("backend %s level %s (selective): %w", name, lvl, err)
 				}
 			}
 			if s.WantBreak {
-				if err := o.pass(s, m, lvl, be, nil, true, res); err != nil {
+				if err := o.pass(s, want, lvl, be, nil, true, res); err != nil {
 					return res, fmt.Errorf("backend %s level %s (breakpointed): %w", name, lvl, err)
 				}
 			}
 		}
 	}
 	if o.Adaptive {
-		if err := o.adaptive(s, m, res); err != nil {
+		if err := o.adaptive(s, want, res); err != nil {
 			return res, fmt.Errorf("adaptive: %w", err)
 		}
 	}
@@ -203,9 +202,9 @@ func selectWarm(user *codefile.File, cold []string) map[string]bool {
 	return sel
 }
 
-// pass runs one accelerated configuration and compares it against the
-// reference machine.
-func (o *OracleOptions) pass(s *Subject, m *interp.Machine, lvl codefile.AccelLevel,
+// pass runs one accelerated configuration and checks it against the
+// reference outcome.
+func (o *OracleOptions) pass(s *Subject, want *xrun.Outcome, lvl codefile.AccelLevel,
 	be backend.Backend, sel map[string]bool, withBreak bool, res *Result) error {
 
 	user, lib, libSummaries, err := o.assemble(s)
@@ -230,16 +229,16 @@ func (o *OracleOptions) pass(s *Subject, m *interp.Machine, lvl codefile.AccelLe
 	if err != nil {
 		return err
 	}
-	err = o.check(m, r, rec, withBreak, res)
+	err = o.check(want, r, rec, withBreak, res)
 	// Reached only when check returned: a pass that panicked leaves its
 	// simulator memory to the garbage collector.
 	r.Release()
 	return err
 }
 
-// check runs one pass's runner, observed by rec, and compares it against
-// the reference machine.
-func (o *OracleOptions) check(m *interp.Machine, r *xrun.Runner, rec *obs.Recorder,
+// check runs one pass's runner, observed by rec, and checks it against
+// the reference outcome.
+func (o *OracleOptions) check(want *xrun.Outcome, r *xrun.Runner, rec *obs.Recorder,
 	withBreak bool, res *Result) error {
 	r.Observe(rec)
 	if withBreak {
@@ -262,10 +261,10 @@ func (o *OracleOptions) check(m *interp.Machine, r *xrun.Runner, rec *obs.Record
 		}
 	}
 
-	if err := compare(m, r); err != nil {
+	if err := want.Check(r.Outcome()); err != nil {
 		return err
 	}
-	if err := checkAccounting(r, rec); err != nil {
+	if err := xrun.CheckAccounting(r, rec); err != nil {
 		return err
 	}
 	res.Coverage.Merge(coverageFrom(r.User, r.Lib, rec))
@@ -289,67 +288,6 @@ func breakAddr(f *codefile.File) (uint16, bool) {
 		}
 	}
 	return 0, false
-}
-
-// compare checks the paper's fidelity contract between the reference
-// interpreter and a completed mixed-mode run: halt state, trap, exit
-// status, console output, and (trap-free runs) every word of data memory.
-func compare(m *interp.Machine, r *xrun.Runner) error {
-	if m.Halted != r.Halted {
-		return fmt.Errorf("halted: interp=%v accel=%v", m.Halted, r.Halted)
-	}
-	if m.Trap != r.Trap {
-		return fmt.Errorf("trap: interp=%d accel=%d (at %d vs %d)",
-			m.Trap, r.Trap, m.TrapP, r.TrapP)
-	}
-	if m.Trap == 0 && m.ExitStatus != r.ExitStatus {
-		return fmt.Errorf("exit status: interp=%d accel=%d", m.ExitStatus, r.ExitStatus)
-	}
-	if got, want := r.Console(), m.Console.String(); got != want {
-		return fmt.Errorf("console: accel=%q interp=%q", got, want)
-	}
-	if m.Trap != 0 {
-		return nil // memory at trap time may legitimately differ midway
-	}
-	for i := range m.Mem {
-		if m.Mem[i] != r.Int.Mem[i] {
-			return fmt.Errorf("memory differs at word %d: interp=%04x accel=%04x",
-				i, m.Mem[i], r.Int.Mem[i])
-		}
-	}
-	return nil
-}
-
-// checkAccounting enforces the telemetry invariants on an observed run:
-// no unclassified escape, and the recorder's totals agreeing exactly with
-// the runner's own accounting in both modes.
-func checkAccounting(r *xrun.Runner, rec *obs.Recorder) error {
-	if n := rec.Escapes[obs.EscapeUnknown]; n != 0 {
-		return fmt.Errorf("%d escapes with Unknown reason (histogram %v)", n, rec.Escapes)
-	}
-	if rec.InterpEntries != int64(r.Interludes) {
-		return fmt.Errorf("interp entries: obs=%d runner=%d", rec.InterpEntries, r.Interludes)
-	}
-	if rec.InterpInstrs != r.InterludeProf.Instrs {
-		return fmt.Errorf("interp instrs: obs=%d runner=%d", rec.InterpInstrs, r.InterludeProf.Instrs)
-	}
-	if rec.RISCInstrs != r.Sim.Instrs {
-		return fmt.Errorf("risc instrs: obs=%d sim=%d", rec.RISCInstrs, r.Sim.Instrs)
-	}
-	rep := r.Report(rec)
-	var procRISC, procInterp int64
-	for _, p := range rep.Procs {
-		procRISC += p.RISCInstrs
-		procInterp += p.InterpInstrs
-	}
-	if procRISC != rec.RISCInstrs || procInterp != rec.InterpInstrs {
-		return fmt.Errorf("per-proc sums: risc %d/%d interp %d/%d",
-			procRISC, rec.RISCInstrs, procInterp, rec.InterpInstrs)
-	}
-	if err := obs.Validate(rep); err != nil {
-		return fmt.Errorf("report validation: %w", err)
-	}
-	return nil
 }
 
 // coverageFrom folds one observed run into a coverage sample.
@@ -384,28 +322,40 @@ func sumEscapes(h [obs.NumEscapeReasons]int64) int64 {
 }
 
 // adaptive pushes the subject through the capture -> retranslate -> rerun
-// cycle: both passes must match the reference, and the retranslation must
-// never increase the total escape count (the profile only ever confirms
-// guesses, so pass 2 escapes at most where pass 1 did).
-func (o *OracleOptions) adaptive(s *Subject, m *interp.Machine, res *Result) error {
+// cycle and checks both passes, then releases their runners. A cycle that
+// panicked leaves its simulator memories to the garbage collector.
+func (o *OracleOptions) adaptive(s *Subject, want *xrun.Outcome, res *Result) error {
 	user, lib, libSummaries, err := o.assemble(s)
 	if err != nil {
 		return err
 	}
-	a, err := xrun.RunAdaptive(user, lib, libSummaries,
-		codefile.LevelDefault, o.Workers, o.RunBudget, simConfig())
+	a, err := xrun.RunAdaptive(user, lib, xrun.AdaptiveOptions{
+		Level: codefile.LevelDefault, Workers: o.Workers, Budget: o.RunBudget,
+		Config: simConfig(), LibSummaries: libSummaries,
+	})
 	if err != nil {
 		return err
 	}
+	err = checkAdaptive(want, a, res)
+	a.First.Release()
+	a.Second.Release()
+	return err
+}
+
+// checkAdaptive requires both passes of an adaptive cycle to match the
+// reference, and the retranslation never to increase the total escape
+// count (the profile only ever confirms guesses, so pass 2 escapes at
+// most where pass 1 did).
+func checkAdaptive(want *xrun.Outcome, a *xrun.AdaptiveResult, res *Result) error {
 	for pass, r := range []*xrun.Runner{a.First, a.Second} {
-		if err := compare(m, r); err != nil {
+		if err := want.Check(r.Outcome()); err != nil {
 			return fmt.Errorf("pass %d: %w", pass+1, err)
 		}
 	}
-	if err := checkAccounting(a.First, a.FirstObs); err != nil {
+	if err := xrun.CheckAccounting(a.First, a.FirstObs); err != nil {
 		return fmt.Errorf("pass 1: %w", err)
 	}
-	if err := checkAccounting(a.Second, a.SecondObs); err != nil {
+	if err := xrun.CheckAccounting(a.Second, a.SecondObs); err != nil {
 		return fmt.Errorf("pass 2: %w", err)
 	}
 	e1, e2 := sumEscapes(a.FirstObs.Escapes), sumEscapes(a.SecondObs.Escapes)

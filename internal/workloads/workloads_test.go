@@ -12,16 +12,17 @@ import (
 )
 
 // interpret runs a workload on the pure interpreter.
-func interpret(t *testing.T, w *Workload) *interp.Machine {
+func interpret(t *testing.T, w *Workload) (*interp.Machine, *xrun.Outcome) {
 	t.Helper()
 	m := interp.New(w.User, w.Lib)
-	if err := m.Run(400_000_000); err != nil {
+	out, err := xrun.Interpret(m, 400_000_000)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Trap != tns.TrapNone {
 		t.Fatalf("%s: trap %d at P=%d space=%d", w.Name, m.Trap, m.TrapP, m.Space)
 	}
-	return m
+	return m, out
 }
 
 func TestWorkloadsRunAndChecksum(t *testing.T) {
@@ -29,32 +30,28 @@ func TestWorkloadsRunAndChecksum(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			w := MustBuild(name, 3)
-			m := interpret(t, w)
-			out := m.Console.String()
-			if len(out) == 0 {
+			m, out := interpret(t, w)
+			if len(out.Console) == 0 {
 				t.Fatal("no console output")
 			}
 			// Deterministic: building and running again gives the same.
-			w2 := MustBuild(name, 3)
-			m2 := interpret(t, w2)
-			if m2.Console.String() != out {
-				t.Errorf("nondeterministic output: %q vs %q", out, m2.Console.String())
+			_, out2 := interpret(t, MustBuild(name, 3))
+			if err := out.Check(out2); err != nil {
+				t.Errorf("nondeterministic run: %v", err)
 			}
-			t.Logf("%s: %d instrs, output %q", name, m.Prof.Instrs, out)
+			t.Logf("%s: %d instrs, output %q", name, m.Prof.Instrs, out.Console)
 		})
 	}
 }
 
 // TestWorkloadFidelityAllModes is the system-level fidelity check: every
-// workload produces identical output under interpretation and under all
-// three acceleration levels.
+// workload runs to an identical outcome (xrun.Outcome.Check) under
+// interpretation and under all three acceleration levels.
 func TestWorkloadFidelityAllModes(t *testing.T) {
 	for _, name := range Names {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			ref := MustBuild(name, 2)
-			m := interpret(t, ref)
-			want := m.Console.String()
+			_, want := interpret(t, MustBuild(name, 2))
 
 			for _, lvl := range []codefile.AccelLevel{
 				codefile.LevelStmtDebug, codefile.LevelDefault, codefile.LevelFast,
@@ -77,11 +74,8 @@ func TestWorkloadFidelityAllModes(t *testing.T) {
 				if err := r.Run(800_000_000); err != nil {
 					t.Fatalf("%s/%s: %v", name, lvl, err)
 				}
-				if r.Trap != m.Trap {
-					t.Fatalf("%s/%s: trap %d vs %d (at %d)", name, lvl, r.Trap, m.Trap, r.TrapP)
-				}
-				if got := r.Console(); got != want {
-					t.Errorf("%s/%s: output %q, want %q", name, lvl, got, want)
+				if err := want.Check(r.Outcome()); err != nil {
+					t.Errorf("%s/%s: %v", name, lvl, err)
 				}
 				if frac := r.InterpFraction(); frac > 0.05 {
 					t.Errorf("%s/%s: %.1f%% of cycles in interpreter mode", name, lvl, 100*frac)

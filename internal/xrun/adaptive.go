@@ -40,10 +40,11 @@ type ProfileSource interface {
 	Push(p *pgo.Profile) (*pgo.Profile, error)
 }
 
-// AdaptiveOptions configures RunAdaptiveOpts.
+// AdaptiveOptions configures RunAdaptive.
 type AdaptiveOptions struct {
-	// Level, Workers, Budget, Config and LibSummaries mean exactly what
-	// the RunAdaptive parameters of the same names mean.
+	// Level and Workers configure both passes' translations, Budget
+	// bounds each pass's run, Config is the simulator timing, and
+	// LibSummaries gives the library's SCAL result sizes.
 	Level        codefile.AccelLevel
 	Workers      int
 	Budget       int64
@@ -80,14 +81,10 @@ type AdaptiveResult struct {
 
 	// First and Second are the completed runners of the two passes, with
 	// FirstObs/SecondObs their telemetry (escape histograms, residency).
+	// The cycle's outcome is Second.Outcome(), which Check found equal to
+	// First's. Both runners are the caller's to Release.
 	First, Second       *Runner
 	FirstObs, SecondObs *obs.Recorder
-
-	Console    string
-	Halted     bool
-	ExitStatus uint16
-	Trap       int
-	TrapP      uint16
 }
 
 // InterpFractions returns the interpreter-mode residency of each pass.
@@ -97,22 +94,10 @@ func (a *AdaptiveResult) InterpFractions() (first, second float64) {
 
 // RunAdaptive executes the observe -> retranslate -> rerun cycle on fresh
 // copies of user/lib (the caller's codefiles are not modified). Each pass
-// translates at the given level with the given worker count and runs under
-// the given instruction budget. It errors if the two passes disagree on any
-// observable outcome — the profile being advisory, they never should.
-func RunAdaptive(user, lib *codefile.File, libSummaries map[uint16]int8,
-	level codefile.AccelLevel, workers int, budget int64,
-	cfg risc.Config) (*AdaptiveResult, error) {
-
-	return RunAdaptiveOpts(user, lib, AdaptiveOptions{
-		Level: level, Workers: workers, Budget: budget,
-		Config: cfg, LibSummaries: libSummaries,
-	})
-}
-
-// RunAdaptiveOpts is RunAdaptive with the fleet knobs: an optional remote
-// profile source and an optional persistent retranslation cache.
-func RunAdaptiveOpts(user, lib *codefile.File, o AdaptiveOptions) (*AdaptiveResult, error) {
+// translates at o.Level with o.Workers workers and runs under o.Budget
+// instructions. It errors if pass 2's outcome fails Check against pass
+// 1's — the profile being advisory, it never should.
+func RunAdaptive(user, lib *codefile.File, o AdaptiveOptions) (*AdaptiveResult, error) {
 	res := &AdaptiveResult{}
 	degrade := func(op string, err error) {
 		res.SourceErrs = append(res.SourceErrs, fmt.Errorf("xrun: adaptive %s: %w", op, err))
@@ -158,16 +143,9 @@ func RunAdaptiveOpts(user, lib *codefile.File, o AdaptiveOptions) (*AdaptiveResu
 	}
 	res.Second, res.SecondObs = r2, rec2
 
-	if r1.Halted != r2.Halted || r1.Trap != r2.Trap ||
-		r1.ExitStatus != r2.ExitStatus || r1.Console() != r2.Console() {
-		return nil, fmt.Errorf("xrun: adaptive passes diverged (trap %d vs %d, exit %d vs %d)",
-			r1.Trap, r2.Trap, r1.ExitStatus, r2.ExitStatus)
+	if err := r1.Outcome().Check(r2.Outcome()); err != nil {
+		return nil, fmt.Errorf("xrun: adaptive passes diverged: %w", err)
 	}
-	res.Console = r2.Console()
-	res.Halted = r2.Halted
-	res.ExitStatus = r2.ExitStatus
-	res.Trap = r2.Trap
-	res.TrapP = r2.TrapP
 	return res, nil
 }
 

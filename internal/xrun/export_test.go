@@ -78,11 +78,13 @@ func mirrorViolation(r *Runner, rolledBack bool) error {
 }
 
 // RecycleChecks counts the simulator memories CheckRecycled checked, so a
-// test can show the recycling path was exercised.
+// test can show the recycling path was exercised, and the runners
+// released, so a test can show none was dropped unreleased.
 type RecycleChecks struct {
 	mu       sync.Mutex
 	Taken    int // memories NewRunner took
 	Recycled int // of them, ones a Release had handed back
+	Released int // runners whose memory Release took back (first Release only)
 	failed   bool
 }
 
@@ -90,7 +92,7 @@ type RecycleChecks struct {
 // NewRunner in this test binary until t ends: each simulator memory
 // NewRunner takes must be all zero before NewRunner writes the runtime
 // tables and the data image into it, exactly like a freshly allocated
-// one. The first violation fails t.
+// one. The first violation fails t. It also counts every Release.
 func CheckRecycled(t testing.TB) *RecycleChecks {
 	c := &RecycleChecks{}
 	recycleHook = func(mem []byte, recycled bool) {
@@ -107,7 +109,12 @@ func CheckRecycled(t testing.TB) *RecycleChecks {
 				recycled, mem[at], at)
 		}
 	}
-	t.Cleanup(func() { recycleHook = nil })
+	releaseHook = func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.Released++
+	}
+	t.Cleanup(func() { recycleHook, releaseHook = nil, nil })
 	return c
 }
 

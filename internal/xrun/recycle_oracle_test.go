@@ -45,6 +45,28 @@ func TestRecycleScenarioCorpus(t *testing.T) {
 	checkRecycledSome(t, checks)
 }
 
+// TestRecycleAdaptiveReleases: an oracle run with the adaptive cycle
+// releases every runner it makes, the cycle's two included. It counts
+// releases rather than pool hits, because under -race sync.Pool drops a
+// random share of Puts.
+func TestRecycleAdaptiveReleases(t *testing.T) {
+	checks := xrun.CheckRecycled(t)
+	scenarios, err := tnsgen.LoadCorpus("../tnsgen/corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := oracleOptions(t)
+	o.Adaptive = true
+	for _, s := range scenarios {
+		if _, err := tnsgen.RunOracle(s.Subject(), o); err != nil {
+			t.Errorf("%s: %v", s.Name, err)
+		}
+	}
+	if checks.Taken == 0 || checks.Released != checks.Taken {
+		t.Errorf("%d memories taken, %d released", checks.Taken, checks.Released)
+	}
+}
+
 // TestRecycleCampaign runs TestMirrorCampaign's 40 unsteered programs on
 // mips and ob0.
 func TestRecycleCampaign(t *testing.T) {

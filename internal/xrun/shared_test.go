@@ -105,25 +105,29 @@ func TestSharedCodefileConcurrentAdaptive(t *testing.T) {
 	}
 	w := workloads.MustBuild("et1", 2)
 	const runners = 8
-	consoles := make([]string, runners)
+	outcomes := make([]*Outcome, runners)
 	var wg sync.WaitGroup
 	for i := 0; i < runners; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := RunAdaptive(w.User, w.Lib, w.LibSummaries,
-				0, 0, 50_000_000, risc.DefaultConfig())
+			res, err := RunAdaptive(w.User, w.Lib, AdaptiveOptions{
+				Budget: 50_000_000, Config: risc.DefaultConfig(),
+				LibSummaries: w.LibSummaries})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			consoles[i] = res.Console
+			outcomes[i] = res.Second.Outcome()
 		}(i)
 	}
 	wg.Wait()
+	if t.Failed() {
+		return // a cycle failed, and said why
+	}
 	for i := 1; i < runners; i++ {
-		if consoles[i] != consoles[0] {
-			t.Fatalf("cycle %d console diverged", i)
+		if err := outcomes[0].Check(outcomes[i]); err != nil {
+			t.Fatalf("cycle %d diverged: %v", i, err)
 		}
 	}
 }

@@ -334,10 +334,15 @@ type simMem [millicode.MemBytes]byte
 var memPool sync.Pool
 
 // recycleHook, when non-nil, sees every memory NewRunner takes before it
-// writes to it, and whether it came from the pool. Tests install the
-// recycled-memory check here (DESIGN.md §6); in production it is nil and
-// costs one comparison per runner.
-var recycleHook func(mem []byte, recycled bool)
+// writes to it, and whether it came from the pool; releaseHook, when
+// non-nil, runs at every Release that ends a runner's use of its memory.
+// Tests install the recycled-memory check and the release count here
+// (DESIGN.md §6); in production both are nil and cost one comparison per
+// runner.
+var (
+	recycleHook func(mem []byte, recycled bool)
+	releaseHook func()
+)
 
 // Release ends the runner's use of its simulator data memory and hands it
 // back for a later NewRunner: it clears every TNS data page the run
@@ -356,6 +361,9 @@ var recycleHook func(mem []byte, recycled bool)
 func (r *Runner) Release() {
 	if r.Sim.Mem == nil {
 		return
+	}
+	if releaseHook != nil {
+		releaseHook()
 	}
 	mem := (*simMem)(r.Sim.Mem)
 	r.Sim.Mem = nil
