@@ -24,7 +24,7 @@ var (
 
 func measuredRows(b *testing.B) []*bench.Row {
 	rowsOnce.Do(func() {
-		rows, rowsErr = bench.Measure()
+		rows, rowsErr = bench.Measure(bench.Iterations, nil)
 	})
 	if rowsErr != nil {
 		b.Fatal(rowsErr)

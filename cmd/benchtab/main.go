@@ -1,4 +1,6 @@
-// Command benchtab regenerates the paper's evaluation tables and figures.
+// Command benchtab regenerates the paper's evaluation tables and figures,
+// all on the simulated clock: cycles of the cost models and the RISC
+// timing models, never host time.
 //
 // Usage:
 //
@@ -6,30 +8,27 @@
 //	benchtab -table N      print only table N (1..4)
 //	benchtab -figure N     print only figure N (1..2)
 //	benchtab -claims       print only the headline claims
+//	benchtab -ablation W   print the optimization ablation on workload W
+//	benchtab -crossover    print the static vs dynamic translation
+//	                       crossover (mips only)
 //	benchtab -iters k=v,.. override per-workload iteration counts
+//	benchtab -jsondir D    also write BENCH_<workload>.json records into D
 //	benchtab -backend name measure against this RISC target instead of the
 //	                       default MIPS/R3000; the target runs on its own
 //	                       timing model, so times are not comparable to the
 //	                       paper's tables (fidelity and expansion still are)
-//	benchtab -fleet N      run an N-machine ET1 fleet and print (and, with
-//	                       -jsondir, export as BENCH_fleet.json) aggregate
-//	                       throughput and latency percentiles
-//	benchtab -xlate N      submit N codefiles to an in-process tnsxlated,
-//	                       cold then cached, and print (and, with -jsondir,
-//	                       export as BENCH_xlate.json) submit→accelerated
-//	                       latency plus queue depth and steal counts
 package main
 
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"strconv"
 	"strings"
 
 	"tnsr/internal/backend"
 	"tnsr/internal/bench"
-	"tnsr/internal/fleet"
 )
 
 func main() {
@@ -40,10 +39,6 @@ func main() {
 	crossover := flag.Bool("crossover", false, "static vs dynamic translation crossover (extension)")
 	iters := flag.String("iters", "", "override iteration counts, e.g. dhry16=500,et1=100")
 	jsondir := flag.String("jsondir", "", "also write machine-readable BENCH_<workload>.json files here")
-	fleetN := flag.Int("fleet", 0, "run an N-machine ET1 fleet benchmark")
-	fleetChaos := flag.Int("fleet-chaos", 0, "chaos machines within the -fleet run")
-	fleetSeed := flag.Int64("fleet-seed", 1, "seed for the -fleet run")
-	xlateN := flag.Int("xlate", 0, "benchmark the translation service with N concurrent codefiles")
 	target := flag.String("backend", "mips",
 		"RISC target to measure ("+strings.Join(backend.Names(), ", ")+")")
 	flag.Parse()
@@ -55,14 +50,19 @@ func main() {
 		os.Exit(2)
 	}
 	if be.ID() != 0 {
+		if *crossover {
+			// RunDynamic and StaticCost translate for mips only.
+			fmt.Fprintf(os.Stderr, "benchtab: -crossover measures mips only, not backend %q\n", be.Name())
+			os.Exit(2)
+		}
 		// Non-default targets execute on their own timing model; the
 		// paper's tables describe the MIPS/R3000 numbers.
-		bench.Target = be
 		fmt.Fprintf(os.Stderr,
 			"benchtab: measuring backend %q on its own timing model; times are not comparable to the paper's tables\n",
 			be.Name())
 	}
 
+	counts := maps.Clone(bench.Iterations)
 	if *iters != "" {
 		for _, kv := range strings.Split(*iters, ",") {
 			parts := strings.SplitN(kv, "=", 2)
@@ -75,58 +75,8 @@ func main() {
 				fmt.Fprintf(os.Stderr, "bad -iters entry %q: %v\n", kv, err)
 				os.Exit(2)
 			}
-			bench.Iterations[parts[0]] = n
+			counts[parts[0]] = n
 		}
-	}
-
-	if *xlateN > 0 {
-		recs, err := bench.MeasureXlate(*xlateN)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: xlate: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.XlateTable(recs))
-		if *jsondir != "" {
-			if err := bench.WriteXlateJSON(*jsondir, recs); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *fleetN > 0 {
-		fr, err := fleet.Run(fleet.Config{
-			Machines: *fleetN, ChaosMachines: *fleetChaos, Seed: *fleetSeed,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: fleet: %v\n", err)
-			os.Exit(1)
-		}
-		fr.WriteText(os.Stdout)
-		if *jsondir != "" {
-			rr := fr.Final()
-			rec := bench.FleetRecord{
-				Schema:         bench.BenchSchema,
-				Workload:       fr.Workload,
-				Mode:           "fleet",
-				Machines:       fr.Machines,
-				TxnsPerMachine: fr.TxnsPerMachine,
-				ThroughputTPS:  rr.ThroughputTPS,
-				P50Ms:          rr.Latency.P50Ms,
-				P95Ms:          rr.Latency.P95Ms,
-				P99Ms:          rr.Latency.P99Ms,
-				InterpPct:      100 * rr.Obs.Modes.InterpFraction,
-				Serving:        rr.MachineStates.Serving,
-				Degraded:       rr.MachineStates.Degraded,
-				Failed:         rr.MachineStates.Failed,
-			}
-			if err := bench.WriteFleetJSON(*jsondir, []bench.FleetRecord{rec}); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
 	}
 
 	if *crossover {
@@ -140,7 +90,7 @@ func main() {
 	}
 
 	if *ablation != "" {
-		rows, err := bench.Ablate(*ablation, bench.Iterations[*ablation])
+		rows, err := bench.Ablate(*ablation, counts[*ablation], be)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 			os.Exit(1)
@@ -149,7 +99,7 @@ func main() {
 		return
 	}
 
-	rows, err := bench.Measure()
+	rows, err := bench.Measure(counts, be)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 		os.Exit(1)

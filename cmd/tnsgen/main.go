@@ -44,7 +44,7 @@ func main() {
 	libEvery := flag.Int("lib-every", 5, "every k-th program is a user+library pair (0 = never)")
 	chaosEvery := flag.Int("chaos-every", 0, "add a chaos pass to every k-th program (0 = never)")
 	adaptiveEvery := flag.Int("adaptive-every", 0, "add a RunAdaptive cycle to every k-th program (0 = never)")
-	workers := flag.Int("workers", 0, "translator worker count (0 = serial)")
+	workers := flag.Int("workers", 0, "translator worker count (0 = GOMAXPROCS, 1 = serial)")
 	backends := flag.String("backends", "",
 		"comma-separated RISC targets to run the oracle on (default: the default target)")
 	flag.Parse()

@@ -18,7 +18,7 @@ func main() {
 	fmt.Println()
 	rows := make([]*bench.Row, 0, 2)
 	for _, name := range []string{"dhry16", "dhry32"} {
-		row, err := bench.MeasureWorkload(name, 200)
+		row, err := bench.MeasureWorkload(name, 200, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

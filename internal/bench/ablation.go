@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"strings"
 
+	"tnsr/internal/backend"
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
 	"tnsr/internal/workloads"
-	"tnsr/internal/xrun"
 )
 
 // AblationRow quantifies one disabled optimization.
@@ -21,8 +21,10 @@ type AblationRow struct {
 // major optimization effects, by turning each off and re-measuring
 // Dhrystone: dead flag elision ("the most important one"), common
 // subexpression reuse of fetches and addresses, and the final scheduling
-// phase (delay slots, stall avoidance).
-func Ablate(name string, iterations int) ([]AblationRow, error) {
+// phase (delay slots, stall avoidance). be is the target translated for,
+// nil meaning the MIPS/R3000 default; every variant's outcome is checked
+// against the interpreter's.
+func Ablate(name string, iterations int, be backend.Backend) ([]AblationRow, error) {
 	variants := []struct {
 		label string
 		mod   func(*core.Options)
@@ -37,30 +39,18 @@ func Ablate(name string, iterations int) ([]AblationRow, error) {
 			o.DisableSchedule = true
 		}},
 	}
+	_, want, err := interpretWorkload(name, iterations)
+	if err != nil {
+		return nil, err
+	}
 	var rows []AblationRow
-	var want *xrun.Outcome
 	for _, v := range variants {
 		w := workloads.MustBuild(name, iterations)
-		opts := core.Options{Level: codefile.LevelDefault, LibSummaries: w.LibSummaries}
+		opts := core.Options{Level: codefile.LevelDefault, Backend: be}
 		v.mod(&opts)
-		if err := core.Accelerate(w.User, opts); err != nil {
-			return nil, fmt.Errorf("%s: %w", v.label, err)
-		}
-		if w.Lib != nil {
-			libOpts := core.Options{Level: codefile.LevelDefault, CodeBase: 0x80000, Space: 1}
-			v.mod(&libOpts)
-			if err := core.Accelerate(w.Lib, libOpts); err != nil {
-				return nil, err
-			}
-		}
-		r, err := RunAccelerated(w)
+		r, err := runTranslated(w, opts, want)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.label, err)
-		}
-		if want == nil {
-			want = r.Outcome()
-		} else if err := want.Check(r.Outcome()); err != nil {
-			return nil, fmt.Errorf("%s: outcome changed: %w", v.label, err)
 		}
 		total, _, _ := r.Cycles()
 		st := w.User.Accel.Stats

@@ -13,7 +13,7 @@ package bench
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"strings"
 
 	"tnsr/internal/backend"
@@ -21,21 +21,16 @@ import (
 	"tnsr/internal/core"
 	"tnsr/internal/interp"
 	"tnsr/internal/machine"
+	"tnsr/internal/millicode"
 	"tnsr/internal/risc"
 	"tnsr/internal/tns"
 	"tnsr/internal/workloads"
 	"tnsr/internal/xrun"
 )
 
-// Target selects the RISC backend the measurements translate for; nil is
-// the MIPS/R3000 default the paper's tables describe. A non-default target
-// is executed on its own timing model, so the absolute numbers are not
-// comparable to the paper's — the sweep still verifies output fidelity and
-// reports that target's expansion and residency.
-var Target backend.Backend
-
 // Iterations gives each workload enough work to measure without making the
-// full table slow. Override per run if desired.
+// full table slow. A run wanting other counts passes Measure its own table
+// (benchtab -iters edits a copy); nothing writes this one.
 var Iterations = map[string]int{
 	"dhry16": 120,
 	"dhry32": 120,
@@ -76,8 +71,13 @@ var Levels = []codefile.AccelLevel{
 	codefile.LevelStmtDebug, codefile.LevelDefault, codefile.LevelFast,
 }
 
-// MeasureWorkload runs one workload through every machine and mode.
-func MeasureWorkload(name string, iterations int) (*Row, error) {
+// MeasureWorkload runs one workload through every machine and mode,
+// translating for be; nil is the MIPS/R3000 default the paper's tables
+// describe. A non-default target executes on its own timing model, so its
+// times are not comparable to the paper's; every run's outcome is still
+// checked against the interpreter's, and the row reports that target's
+// expansion and residency.
+func MeasureWorkload(name string, iterations int, be backend.Backend) (*Row, error) {
 	row := &Row{
 		Name:       name,
 		CISCTime:   map[string]float64{},
@@ -90,14 +90,9 @@ func MeasureWorkload(name string, iterations int) (*Row, error) {
 
 	// Reference interpreter run: the execution profile prices every CISC
 	// machine and the Cyclone/R software interpreter.
-	ref := workloads.MustBuild(name, iterations)
-	m := interp.New(ref.User, ref.Lib)
-	want, err := xrun.Interpret(m, 2_000_000_000)
+	m, want, err := interpretWorkload(name, iterations)
 	if err != nil {
 		return nil, err
-	}
-	if m.Trap != tns.TrapNone {
-		return nil, fmt.Errorf("%s: trap %d at %d", name, m.Trap, m.TrapP)
 	}
 	row.Prof = m.Prof
 
@@ -109,22 +104,8 @@ func MeasureWorkload(name string, iterations int) (*Row, error) {
 
 	for _, lvl := range Levels {
 		w := workloads.MustBuild(name, iterations)
-		opts := core.Options{Level: lvl, LibSummaries: w.LibSummaries, Backend: Target}
-		if err := core.Accelerate(w.User, opts); err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", name, lvl, err)
-		}
-		if w.Lib != nil {
-			if err := core.Accelerate(w.Lib, core.Options{
-				Level: lvl, CodeBase: 0x80000, Space: 1, Backend: Target,
-			}); err != nil {
-				return nil, fmt.Errorf("%s/%s lib: %w", name, lvl, err)
-			}
-		}
-		r, err := RunAccelerated(w)
+		r, err := runTranslated(w, core.Options{Level: lvl, Backend: be}, want)
 		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", name, lvl, err)
-		}
-		if err := want.Check(r.Outcome()); err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", name, lvl, err)
 		}
 		total, riscCyc, _ := r.Cycles()
@@ -149,9 +130,54 @@ func MeasureWorkload(name string, iterations int) (*Row, error) {
 	return row, nil
 }
 
+// interpretWorkload runs a fresh build of the workload on the interpreter
+// and returns the machine, whose profile prices the CISC machines, with
+// its outcome, the reference every translated run is checked against.
+// An unknown name is an error here, so later builds of it cannot panic.
+func interpretWorkload(name string, iterations int) (*interp.Machine, *xrun.Outcome, error) {
+	ref, err := workloads.Build(name, iterations)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := interp.New(ref.User, ref.Lib)
+	want, err := xrun.Interpret(m, 2_000_000_000)
+	if err != nil {
+		return nil, nil, err
+	}
+	if m.Trap != tns.TrapNone {
+		return nil, nil, fmt.Errorf("%s: trap %d at %d", name, m.Trap, m.TrapP)
+	}
+	return m, want, nil
+}
+
+// runTranslated accelerates w under opts (its library, if any, under the
+// same options at the library's base), runs it with RunAccelerated and
+// checks the run's outcome against want.
+func runTranslated(w *workloads.Workload, opts core.Options, want *xrun.Outcome) (*xrun.Runner, error) {
+	libOpts := opts
+	opts.LibSummaries = w.LibSummaries
+	if err := core.Accelerate(w.User, opts); err != nil {
+		return nil, err
+	}
+	if w.Lib != nil {
+		libOpts.CodeBase, libOpts.Space = millicode.LibCodeBase, 1
+		if err := core.Accelerate(w.Lib, libOpts); err != nil {
+			return nil, fmt.Errorf("lib: %w", err)
+		}
+	}
+	r, err := RunAccelerated(w)
+	if err != nil {
+		return nil, err
+	}
+	if err := want.Check(r.Outcome()); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 // RunAccelerated executes an accelerated workload in mixed mode with the
 // Cyclone/R timing configuration.
-func RunAccelerated(w *workloads.Workload) (*runResult, error) {
+func RunAccelerated(w *workloads.Workload) (*xrun.Runner, error) {
 	r, err := newRunner(w.User, w.Lib)
 	if err != nil {
 		return nil, err
@@ -165,11 +191,12 @@ func RunAccelerated(w *workloads.Workload) (*runResult, error) {
 	return r, nil
 }
 
-// Measure runs every workload.
-func Measure() ([]*Row, error) {
+// Measure runs every workload, each for its count in iters, translating
+// for be as MeasureWorkload does.
+func Measure(iters map[string]int, be backend.Backend) ([]*Row, error) {
 	var rows []*Row
 	for _, name := range workloads.Names {
-		row, err := MeasureWorkload(name, Iterations[name])
+		row, err := MeasureWorkload(name, iters[name], be)
 		if err != nil {
 			return nil, err
 		}
@@ -341,7 +368,7 @@ func Figure(rows []*Row, title string,
 		if n == 0 {
 			continue
 		}
-		g := pow(prod, 1.0/float64(n))
+		g := math.Pow(prod, 1.0/float64(n))
 		vals[label] = g
 		if g > maxV {
 			maxV = g
@@ -382,12 +409,6 @@ func Figure2(rows []*Row) string {
 		})
 }
 
-func pow(x, y float64) float64 {
-	// Minimal x^y for positive x via exp/log-free iteration is overkill;
-	// use the standard library through a tiny shim to keep imports tidy.
-	return mathPow(x, y)
-}
-
 // FullReport renders everything.
 func FullReport(rows []*Row) string {
 	var b strings.Builder
@@ -401,14 +422,4 @@ func FullReport(rows []*Row) string {
 	b.WriteString(Table4(rows) + "\n")
 	b.WriteString(Claims(rows) + "\n")
 	return b.String()
-}
-
-// SortedLevels helps tests iterate deterministically.
-func SortedLevels(m map[codefile.AccelLevel]float64) []codefile.AccelLevel {
-	out := make([]codefile.AccelLevel, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tnsr/internal/backend"
 	"tnsr/internal/codefile"
 )
 
@@ -13,7 +14,7 @@ func smallRows(t *testing.T) []*Row {
 	var rows []*Row
 	small := map[string]int{"dhry16": 10, "dhry32": 10, "tal": 1, "axcel": 1, "et1": 5}
 	for name, it := range map[string]int{"dhry16": small["dhry16"], "et1": small["et1"]} {
-		r, err := MeasureWorkload(name, it)
+		r, err := MeasureWorkload(name, it, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -23,7 +24,7 @@ func smallRows(t *testing.T) []*Row {
 }
 
 func TestMeasureWorkloadShape(t *testing.T) {
-	r, err := MeasureWorkload("dhry16", 10)
+	r, err := MeasureWorkload("dhry16", 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestAdversarialResidency(t *testing.T) {
 }
 
 func TestAblation(t *testing.T) {
-	rows, err := Ablate("dhry16", 30)
+	rows, err := Ablate("dhry16", 30, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,5 +125,59 @@ func TestAblation(t *testing.T) {
 	if rows[1].Cycles < base.Cycles*1.01 {
 		t.Errorf("disabling flag elision changed cycles by <1%%: %0.f vs %0.f",
 			rows[1].Cycles, base.Cycles)
+	}
+	// benchtab -ablation passes its argument through: a bad name is an
+	// error, not a panic.
+	if _, err := Ablate("nope", 1, nil); err == nil {
+		t.Error("Ablate accepted an unknown workload")
+	}
+}
+
+// TestOb0Leg measures a small dhry16 for ob0 through MeasureWorkload and
+// Ablate. Both check every run's outcome (each level, each variant)
+// against the interpreter's and fail on a difference; the ob0 cycles
+// must then differ from the mips ones, or the target was never used.
+func TestOb0Leg(t *testing.T) {
+	ob0, ok := backend.ByName("ob0")
+	if !ok {
+		t.Fatal("ob0 is not registered")
+	}
+	mipsRow, err := MeasureWorkload("dhry16", 10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob0Row, err := MeasureWorkload("dhry16", 10, ob0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ob0Row.RISCCycles == mipsRow.RISCCycles {
+		t.Errorf("MeasureWorkload: ob0 and mips both ran %.0f cycles", ob0Row.RISCCycles)
+	}
+
+	mipsAbl, err := Ablate("dhry16", 10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob0Abl, err := Ablate("dhry16", 10, ob0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range ob0Abl {
+		if r.Cycles == mipsAbl[i].Cycles {
+			t.Errorf("Ablate %s: ob0 and mips both ran %.0f cycles", r.Name, r.Cycles)
+		}
+	}
+}
+
+// TestCrossover runs the static/dynamic experiment at both ends: every
+// run's outcome is checked against the interpreter's inside Crossover,
+// and the short run must favor dynamic translation, the long one static.
+func TestCrossover(t *testing.T) {
+	points, err := Crossover([]int{1, 2500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !points[0].DynamicWinning || points[1].DynamicWinning {
+		t.Errorf("winners: %+v", points)
 	}
 }

@@ -13,13 +13,9 @@ import (
 	"tnsr/internal/xrun"
 )
 
-type runResult = xrun.Runner
-
-func newRunner(user, lib *codefile.File) (*runResult, error) {
+func newRunner(user, lib *codefile.File) (*xrun.Runner, error) {
 	return xrun.New(user, lib, CycloneRConfig())
 }
-
-func mathPow(x, y float64) float64 { return math.Pow(x, y) }
 
 // Claims renders the paper's headline scalar claims against measurements.
 func Claims(rows []*Row) string {

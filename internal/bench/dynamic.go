@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"tnsr/internal/codefile"
+	"tnsr/internal/interp"
 	"tnsr/internal/talc"
 	"tnsr/internal/xrun"
 )
@@ -44,26 +45,36 @@ type CrossoverPoint struct {
 	DynamicWinning bool
 }
 
-// Crossover measures both strategies across run lengths.
+// Crossover measures both strategies across run lengths, checking each
+// run's outcome against the interpreter's.
 func Crossover(runLengths []int) ([]CrossoverPoint, error) {
+	const budget = 4_000_000_000
 	var out []CrossoverPoint
 	for _, runs := range runLengths {
 		src := strings.ReplaceAll(crossoverProg, "RUNSLIT", fmt.Sprint(runs))
-		fs, err := talc.Compile("xover", src)
+		// Both strategies translate copies, so one compile serves all three
+		// runs.
+		f, err := talc.Compile("xover", src)
 		if err != nil {
 			return nil, err
 		}
-		runC, transC, _, err := xrun.StaticCost(fs, nil, codefile.LevelDefault, 4_000_000_000)
+		want, err := xrun.Interpret(interp.New(f, nil), budget)
 		if err != nil {
 			return nil, err
 		}
-		fd, err := talc.Compile("xover", src)
+		runC, transC, static, err := xrun.StaticCost(f, nil, codefile.LevelDefault, budget)
 		if err != nil {
 			return nil, err
 		}
-		res, err := xrun.RunDynamic(fd, nil, 5, codefile.LevelDefault, 0, 4_000_000_000)
+		if err := want.Check(static); err != nil {
+			return nil, fmt.Errorf("run length %d, static: %w", runs, err)
+		}
+		res, err := xrun.RunDynamic(f, nil, 5, codefile.LevelDefault, 0, budget)
 		if err != nil {
 			return nil, err
+		}
+		if err := want.Check(res.Outcome); err != nil {
+			return nil, fmt.Errorf("run length %d, dynamic: %w", runs, err)
 		}
 		out = append(out, CrossoverPoint{
 			Runs:           runs,

@@ -86,72 +86,3 @@ func ValidateBenchRecords(recs []BenchRecord) error {
 	}
 	return nil
 }
-
-// FleetRecord is one fleet-scale measurement: aggregate throughput and
-// latency percentiles for a whole run-host fleet, tagged with the same
-// schema as the per-workload records so BENCH_*.json consumers need one
-// parser. Latencies are milliseconds of simulated time.
-type FleetRecord struct {
-	Schema         string  `json:"schema"`
-	Workload       string  `json:"workload"`
-	Mode           string  `json:"mode"` // always "fleet"
-	Machines       int     `json:"machines"`
-	TxnsPerMachine int     `json:"txns_per_machine"`
-	ThroughputTPS  float64 `json:"throughput_tps"`
-	P50Ms          float64 `json:"p50_ms"`
-	P95Ms          float64 `json:"p95_ms"`
-	P99Ms          float64 `json:"p99_ms"`
-	InterpPct      float64 `json:"interp_pct"`
-	Serving        int     `json:"serving"`
-	Degraded       int     `json:"degraded"`
-	Failed         int     `json:"failed"`
-}
-
-// WriteFleetJSON writes BENCH_fleet.json into dir.
-func WriteFleetJSON(dir string, recs []FleetRecord) error {
-	if err := ValidateFleetRecords(recs); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_fleet.json"), append(data, '\n'), 0o644)
-}
-
-// ValidateFleetRecords checks a BENCH_fleet.json payload: schema tag,
-// plausible ranges, ordered quantiles, machine-state accounting.
-func ValidateFleetRecords(recs []FleetRecord) error {
-	if len(recs) == 0 {
-		return fmt.Errorf("no fleet records")
-	}
-	for _, r := range recs {
-		if r.Schema != BenchSchema {
-			return fmt.Errorf("schema %q != %q", r.Schema, BenchSchema)
-		}
-		if r.Mode != "fleet" {
-			return fmt.Errorf("fleet record mode %q", r.Mode)
-		}
-		if r.Workload == "" || r.Machines < 1 || r.TxnsPerMachine < 1 {
-			return fmt.Errorf("fleet record missing shape: %+v", r)
-		}
-		if r.Serving+r.Degraded+r.Failed != r.Machines {
-			return fmt.Errorf("fleet record states %d+%d+%d != %d machines",
-				r.Serving, r.Degraded, r.Failed, r.Machines)
-		}
-		if r.ThroughputTPS < 0 {
-			return fmt.Errorf("fleet record negative throughput")
-		}
-		if r.P50Ms < 0 || r.P50Ms > r.P95Ms || r.P95Ms > r.P99Ms {
-			return fmt.Errorf("fleet record quantiles out of order: %g/%g/%g",
-				r.P50Ms, r.P95Ms, r.P99Ms)
-		}
-		if r.InterpPct < 0 || r.InterpPct > 100 {
-			return fmt.Errorf("fleet record interp_pct %g out of range", r.InterpPct)
-		}
-	}
-	return nil
-}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -244,5 +245,48 @@ func TestReportMergeHonorsFailures(t *testing.T) {
 	}
 	if len(rr.Failures) != 1 || rr.Failures[0].Machine != 1 {
 		t.Fatalf("failures %+v", rr.Failures)
+	}
+}
+
+// TestFleetReportValidateRejects breaks one invariant of a valid report
+// per case, on a fresh copy, and requires Validate to name it.
+func TestFleetReportValidateRejects(t *testing.T) {
+	fr, err := Run(Config{Machines: 4, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := fr.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, want string
+		mutate     func(*FleetReport)
+	}{
+		{"schema", "schema", func(r *FleetReport) { r.Schema = "tnsr/fleet-report/v0" }},
+		{"state sum", "states", func(r *FleetReport) { r.Rounds[0].MachineStates.Serving++ }},
+		{"failure count", "failures for", func(r *FleetReport) {
+			ms := &r.Rounds[0].MachineStates
+			ms.Serving--
+			ms.Failed++
+		}},
+		{"quantile order", "quantiles out of order", func(r *FleetReport) {
+			l := &r.Rounds[0].Latency
+			l.P95Ms = l.P99Ms + 1
+		}},
+		{"negative throughput", "negative throughput", func(r *FleetReport) { r.Rounds[0].ThroughputTPS = -1 }},
+	}
+	for _, c := range cases {
+		var r FleetReport
+		if err := json.Unmarshal(good, &r); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Validate(); err != nil {
+			t.Fatalf("%s: the unbroken copy fails: %v", c.name, err)
+		}
+		c.mutate(&r)
+		if err := r.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }

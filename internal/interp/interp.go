@@ -310,10 +310,10 @@ func (m *Machine) Step() TransferKind {
 func (m *Machine) Run(maxInstrs int64) error {
 	start := m.Prof.Instrs
 	for !m.Halted {
-		m.Step()
 		if maxInstrs > 0 && m.Prof.Instrs-start >= maxInstrs {
 			return fmt.Errorf("interp: exceeded %d instructions at P=%d", maxInstrs, m.P)
 		}
+		m.Step()
 	}
 	return nil
 }

@@ -694,6 +694,33 @@ ENDPROC
 	}
 }
 
+// TestRunBudget pins the budget edge: a program that halts on its last
+// budgeted instruction has halted, not run away, and each Run call
+// counts its own budget.
+func TestRunBudget(t *testing.T) {
+	f := tnsasm.MustAssemble("budget", `
+GLOBALS 2
+MAIN main
+PROC main
+  LDI 7
+  STOR G+0
+  EXIT 0
+ENDPROC
+`)
+	m := New(f, nil)
+	if err := m.Run(3); err != nil || !m.Halted || m.Prof.Instrs != 3 {
+		t.Fatalf("Run(3): err=%v halted=%v instrs=%d, want nil/true/3", err, m.Halted, m.Prof.Instrs)
+	}
+
+	m = New(f, nil)
+	if err := m.Run(2); err == nil || m.Halted || m.Prof.Instrs != 2 {
+		t.Fatalf("Run(2): err=%v halted=%v instrs=%d, want an error/false/2", err, m.Halted, m.Prof.Instrs)
+	}
+	if err := m.Run(1); err != nil || !m.Halted || m.Mem[0] != 7 {
+		t.Fatalf("Run(1) after Run(2): err=%v halted=%v G+0=%d", err, m.Halted, m.Mem[0])
+	}
+}
+
 func TestSystemLibraryCall(t *testing.T) {
 	lib := tnsasm.MustAssemble("lib", `
 PROC lib_triple RESULT 1 ARGS 1

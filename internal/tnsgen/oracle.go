@@ -48,7 +48,8 @@ type OracleOptions struct {
 	// program that exposes a target-specific lowering bug fails naming
 	// the backend it diverged on.
 	Backends []backend.Backend
-	// Workers is the translator worker count (0 = serial).
+	// Workers is the translator worker count, passed to core.Options:
+	// 0 means GOMAXPROCS workers, 1 the serial pipeline.
 	Workers int
 	// InterpBudget and RunBudget bound the reference and accelerated runs.
 	InterpBudget int64

@@ -126,6 +126,10 @@ func TestSubmitCachedSecondTime(t *testing.T) {
 	if err := cl.Accelerate(f1, opts); err != nil {
 		t.Fatal(err)
 	}
+	cold := s.Queue().Stats().Executed
+	if cold == 0 {
+		t.Fatal("the first submission executed no fragment jobs")
+	}
 	st, err := cl.Submit(buildFile(t, 5), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +140,10 @@ func TestSubmitCachedSecondTime(t *testing.T) {
 	f2 := buildFile(t, 5)
 	if err := cl.Accelerate(f2, opts); err != nil {
 		t.Fatal(err)
+	}
+	// Answered from the store: the queue translated nothing more.
+	if n := s.Queue().Stats().Executed; n != cold {
+		t.Errorf("cached resubmission executed %d fragment jobs", n-cold)
 	}
 	b1 := mustBytes(t, f1)
 	b2 := mustBytes(t, f2)

@@ -35,9 +35,9 @@ type DynamicResult struct {
 	TranslateCycles float64 // modeled translation work
 	Retranslations  int
 	HotProcs        []string
-	Console         string
-	Halted          bool
-	Trap            int
+	// Outcome is what the run left, for Check against a reference. Mem
+	// aliases the live interpreter machine's memory.
+	Outcome *Outcome
 }
 
 // Total returns the complete cost.
@@ -100,23 +100,19 @@ func RunDynamic(user, lib *codefile.File, threshold int, level codefile.AccelLev
 			}
 			res.InterpCycles = im.Cycles(&m.Prof.Counts, m.Prof.LongUnits)
 			err = r.Run(budget)
-			r.Release() // the results below are the runner's, not its memory's
+			r.Release() // keeps Int.Mem, which the outcome aliases
 			if err != nil {
 				return nil, err
 			}
 			_, riscCyc, interludeCyc := r.Cycles()
 			res.RunnerCycles = riscCyc + interludeCyc
-			res.Console = r.Console()
-			res.Halted = r.Halted
-			res.Trap = r.Trap
+			res.Outcome = r.Outcome()
 			return res, nil
 		}
 	}
 	// Never got hot: fully interpreted.
 	res.InterpCycles = im.Cycles(&m.Prof.Counts, m.Prof.LongUnits)
-	res.Console = m.Console.String()
-	res.Halted = m.Halted
-	res.Trap = m.Trap
+	res.Outcome = machineOutcome(m)
 	return res, nil
 }
 
@@ -175,9 +171,10 @@ func cloneFile(f *codefile.File) *codefile.File {
 }
 
 // StaticCost prices the static-translation strategy for comparison: full
-// up-front translation of both codefiles plus the mixed-mode run.
+// up-front translation of both codefiles plus the mixed-mode run, whose
+// outcome it returns for Check against a reference.
 func StaticCost(user, lib *codefile.File, level codefile.AccelLevel,
-	budget int64) (runCycles, translateCycles float64, console string, err error) {
+	budget int64) (runCycles, translateCycles float64, out *Outcome, err error) {
 	tu := cloneFile(user)
 	libSummaries := map[uint16]int8{}
 	var tl *codefile.File
@@ -187,7 +184,7 @@ func StaticCost(user, lib *codefile.File, level codefile.AccelLevel,
 		}
 	}
 	if err := core.Accelerate(tu, core.Options{Level: level, LibSummaries: libSummaries}); err != nil {
-		return 0, 0, "", err
+		return 0, 0, nil, err
 	}
 	translateCycles = float64(len(user.Code)) * TranslateCyclesPerWord
 	if lib != nil {
@@ -195,22 +192,22 @@ func StaticCost(user, lib *codefile.File, level codefile.AccelLevel,
 		if err := core.Accelerate(tl, core.Options{
 			Level: level, CodeBase: millicode.LibCodeBase, Space: 1,
 		}); err != nil {
-			return 0, 0, "", err
+			return 0, 0, nil, err
 		}
 		translateCycles += float64(len(lib.Code)) * TranslateCyclesPerWord
 	}
 	r, err := New(tu, tl, risc.DefaultConfig())
 	if err != nil {
-		return 0, 0, "", err
+		return 0, 0, nil, err
 	}
 	err = r.Run(budget)
 	r.Release()
 	if err != nil {
-		return 0, 0, "", err
+		return 0, 0, nil, err
 	}
 	if r.Trap != tns.TrapNone {
-		return 0, 0, "", fmt.Errorf("trap %d", r.Trap)
+		return 0, 0, nil, fmt.Errorf("trap %d", r.Trap)
 	}
 	total, _, _ := r.Cycles()
-	return total, translateCycles, r.Console(), nil
+	return total, translateCycles, r.Outcome(), nil
 }

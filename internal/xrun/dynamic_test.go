@@ -67,25 +67,25 @@ func itoa(v int) string {
 	return digits
 }
 
-func TestDynamicTranslationCorrectness(t *testing.T) {
-	// Reference: interpret.
-	ref := buildDyn(t, 30)
-	mRef := interp.New(ref, nil)
-	if err := mRef.Run(50_000_000); err != nil {
+// interpretDyn is the pure-interpreter reference outcome of buildDyn(runs).
+func interpretDyn(t *testing.T, runs int) *Outcome {
+	t.Helper()
+	want, err := Interpret(interp.New(buildDyn(t, runs), nil), 50_000_000)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := mRef.Console.String()
+	return want
+}
 
+func TestDynamicTranslationCorrectness(t *testing.T) {
+	want := interpretDyn(t, 30)
 	f := buildDyn(t, 30)
 	res, err := RunDynamic(f, nil, 5, codefile.LevelDefault, 4, 500_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Halted || res.Trap != 0 {
-		t.Fatalf("halted=%v trap=%d", res.Halted, res.Trap)
-	}
-	if res.Console != want {
-		t.Errorf("console %q, want %q", res.Console, want)
+	if err := want.Check(res.Outcome); err != nil {
+		t.Error(err)
 	}
 	if res.Retranslations == 0 {
 		t.Error("expected a hand-off to translated code")

@@ -27,11 +27,16 @@ type Outcome struct {
 // execution profile prices the CISC machines); the outcome's Mem aliases
 // m.Mem.
 func Interpret(m *interp.Machine, budget int64) (*Outcome, error) {
-	if err := m.Run(budget); err != nil && !m.Halted {
+	if err := m.Run(budget); err != nil {
 		return nil, fmt.Errorf("reference run did not halt: %w", err)
 	}
+	return machineOutcome(m), nil
+}
+
+// machineOutcome returns the outcome m holds; Mem aliases m.Mem.
+func machineOutcome(m *interp.Machine) *Outcome {
 	return &Outcome{Halted: m.Halted, Trap: m.Trap, TrapP: m.TrapP,
-		ExitStatus: m.ExitStatus, Console: m.Console.String(), Mem: m.Mem}, nil
+		ExitStatus: m.ExitStatus, Console: m.Console.String(), Mem: m.Mem}
 }
 
 // Outcome returns the runner's outcome. Read it only after Run has
