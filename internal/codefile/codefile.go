@@ -158,6 +158,20 @@ type File struct {
 	Accel      *AccelSection // nil until accelerated
 }
 
+// Pristine returns a shallow copy of f without its acceleration section:
+// the CISC image, ready to be accelerated or run interpreted. The copy
+// shares Code, Procs, Data, Statements and Symbols with f, which is safe
+// because nothing writes them once a codefile is assembled or read;
+// core.Accelerate and tcache.Accelerate set only Accel. A nil f gives nil.
+func (f *File) Pristine() *File {
+	if f == nil {
+		return nil
+	}
+	c := *f
+	c.Accel = nil
+	return &c
+}
+
 // ProcByName returns the PEP index of the named procedure, or -1.
 func (f *File) ProcByName(name string) int {
 	for i := range f.Procs {

@@ -389,8 +389,8 @@ func assignMutant(spec *machineSpec, ref *chaos.Reference, seed int64, round int
 		libRaw = ref.LibRaw
 	}
 	fallback := func(detail string) {
-		spec.user = accelFree(sharedUser)
-		spec.lib = accelFree(sharedLib)
+		spec.user = sharedUser.Pristine()
+		spec.lib = sharedLib.Pristine()
 		spec.chaosDegraded = fmt.Sprintf("chaos %s: image rejected at load: %s", op, detail)
 	}
 	u, err := parseImage(userRaw)

@@ -229,15 +229,3 @@ func simulateArrivals(spec *machineSpec, r *xrun.Runner) (txns int64, elapsed fl
 func parseImage(raw []byte) (*codefile.File, error) {
 	return codefile.Read(bytes.NewReader(raw))
 }
-
-// accelFree returns a shallow copy of f with its acceleration dropped:
-// the pristine CISC image a machine falls back to when its own image is
-// rejected. The copy shares the underlying code/data slices read-only.
-func accelFree(f *codefile.File) *codefile.File {
-	if f == nil {
-		return nil
-	}
-	c := *f
-	c.Accel = nil
-	return &c
-}

@@ -295,7 +295,7 @@ func BenchmarkAccelerateCold(b *testing.B) {
 	opts := core.Options{Level: codefile.LevelDefault}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := cloneForBench(w.User)
+		f := w.User.Pristine()
 		if err := core.Accelerate(f, opts); err != nil {
 			b.Fatal(err)
 		}
@@ -306,12 +306,12 @@ func BenchmarkAccelerateCached(b *testing.B) {
 	c := mustCache(b)
 	w := workloads.MustBuild("tal", 1)
 	opts := core.Options{Level: codefile.LevelDefault}
-	if _, err := c.Accelerate(cloneForBench(w.User), opts); err != nil {
+	if _, err := c.Accelerate(w.User.Pristine(), opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := cloneForBench(w.User)
+		f := w.User.Pristine()
 		hit, err := c.Accelerate(f, opts)
 		if err != nil {
 			b.Fatal(err)
@@ -320,12 +320,4 @@ func BenchmarkAccelerateCached(b *testing.B) {
 			b.Fatal("expected a cache hit")
 		}
 	}
-}
-
-func cloneForBench(f *codefile.File) *codefile.File {
-	g := *f
-	g.Accel = nil
-	g.Code = append([]uint16{}, f.Code...)
-	g.Procs = append([]codefile.Proc{}, f.Procs...)
-	return &g
 }

@@ -164,7 +164,7 @@ func runPass(user, lib *codefile.File, o AdaptiveOptions,
 		return core.Accelerate(f, opts)
 	}
 
-	tu := cloneFile(user)
+	tu := user.Pristine()
 	if err := accelerate(tu, core.Options{
 		Level: o.Level, Workers: o.Workers, LibSummaries: o.LibSummaries,
 		Obs: rec, Profile: prof,
@@ -173,7 +173,7 @@ func runPass(user, lib *codefile.File, o AdaptiveOptions,
 	}
 	var tl *codefile.File
 	if lib != nil {
-		tl = cloneFile(lib)
+		tl = lib.Pristine()
 		if err := accelerate(tl, core.Options{
 			Level: o.Level, Workers: o.Workers,
 			CodeBase: millicode.LibCodeBase, Space: 1,

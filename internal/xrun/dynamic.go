@@ -120,7 +120,7 @@ func RunDynamic(user, lib *codefile.File, threshold int, level codefile.AccelLev
 // live machine.
 func handOff(user, lib *codefile.File, m *interp.Machine, hot map[string]bool,
 	level codefile.AccelLevel, workers int, libSummaries map[uint16]int8) (*Runner, error) {
-	tu := cloneFile(user)
+	tu := user.Pristine()
 	opts := core.Options{
 		Level: level, SelectProcs: hot, Workers: workers,
 		LibSummaries: libSummaries,
@@ -130,7 +130,7 @@ func handOff(user, lib *codefile.File, m *interp.Machine, hot map[string]bool,
 	}
 	var tl *codefile.File
 	if lib != nil {
-		tl = cloneFile(lib)
+		tl = lib.Pristine()
 		if err := core.Accelerate(tl, core.Options{
 			Level: level, SelectProcs: hot, Workers: workers,
 			CodeBase: millicode.LibCodeBase, Space: 1,
@@ -159,23 +159,12 @@ func procWords(f *codefile.File, pi int) int {
 	return end - entry
 }
 
-func cloneFile(f *codefile.File) *codefile.File {
-	g := *f
-	g.Accel = nil
-	g.Code = append([]uint16{}, f.Code...)
-	g.Procs = append([]codefile.Proc{}, f.Procs...)
-	g.Data = append([]codefile.DataSeg{}, f.Data...)
-	g.Statements = append([]codefile.Statement{}, f.Statements...)
-	g.Symbols = append([]codefile.Symbol{}, f.Symbols...)
-	return &g
-}
-
 // StaticCost prices the static-translation strategy for comparison: full
 // up-front translation of both codefiles plus the mixed-mode run, whose
 // outcome it returns for Check against a reference.
 func StaticCost(user, lib *codefile.File, level codefile.AccelLevel,
 	budget int64) (runCycles, translateCycles float64, out *Outcome, err error) {
-	tu := cloneFile(user)
+	tu := user.Pristine()
 	libSummaries := map[uint16]int8{}
 	var tl *codefile.File
 	if lib != nil {
@@ -188,7 +177,7 @@ func StaticCost(user, lib *codefile.File, level codefile.AccelLevel,
 	}
 	translateCycles = float64(len(user.Code)) * TranslateCyclesPerWord
 	if lib != nil {
-		tl = cloneFile(lib)
+		tl = lib.Pristine()
 		if err := core.Accelerate(tl, core.Options{
 			Level: level, CodeBase: millicode.LibCodeBase, Space: 1,
 		}); err != nil {
