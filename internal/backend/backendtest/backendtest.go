@@ -13,6 +13,9 @@
 //     loops — executes to the architecturally-defined result on the
 //     backend's own simulator, with the BREAK, SYSCALL, StoreTrace,
 //     breakpoint, trap and register-zero protocols all observed.
+//   - Run's budget counts executed instructions: a program that stops on
+//     its n-th instruction runs to its stop under Run(n), and Run(n-1)
+//     returns the runaway error before that instruction executes.
 //   - The simulator runs on the data memory it is given, and records
 //     every store that lands: a page of the TNS data region in Dirty, any
 //     address beyond the region in DirtyBeyond; a fenced store writes and
@@ -55,6 +58,7 @@ func Contract(t *testing.T, be backend.Backend, defuse DefUse) {
 	t.Run("exec", func(t *testing.T) { testExec(t, be) })
 	t.Run("breakpoints", func(t *testing.T) { testBreakpoints(t, be) })
 	t.Run("traps", func(t *testing.T) { testTraps(t, be) })
+	t.Run("budget", func(t *testing.T) { testBudget(t, be) })
 	t.Run("sparse-code", func(t *testing.T) { testSparseCode(t, be) })
 	t.Run("write-record", func(t *testing.T) { testWriteRecord(t, be) })
 	if defuse != nil {
@@ -442,6 +446,46 @@ func testTraps(t *testing.T, be backend.Backend) {
 				t.Errorf("TrapPC = %d, want %d", s.TrapPC, want)
 			}
 		})
+	}
+}
+
+// testBudget runs addiu; addiu; break under budgets around the program's
+// length. The stop on the last budgeted instruction is a clean stop, not
+// a runaway.
+func testBudget(t *testing.T, be backend.Backend) {
+	t0 := uint8(backend.RegT0)
+	p := newProg()
+	p.add(backend.Inst{Op: backend.ADDIU, Rt: t0, Rs: t0, Imm: 1})
+	p.add(backend.Inst{Op: backend.ADDIU, Rt: t0, Rs: t0, Imm: 1})
+	p.add(backend.Inst{Op: backend.BREAK, Code: 2})
+	enc := p.encode(t, be)
+	run := func(budget int64) (*backend.CPU, error) {
+		sim := be.Load(backend.FlatCode(enc.Code)).NewSim(make([]byte, 0x10000))
+		sim.ResumeAt(0)
+		return sim.Core(), sim.Run(budget)
+	}
+
+	s, err := run(0)
+	if err != nil || !s.Stopped || s.BreakCode != 2 {
+		t.Fatalf("unbudgeted Run: err=%v stopped=%v BreakCode=%d, want a clean BREAK stop",
+			err, s.Stopped, s.BreakCode)
+	}
+	n := s.Instrs
+	s, err = run(n)
+	if err != nil {
+		t.Errorf("Run(%d) of a program that stops on instruction %d: %v", n, n, err)
+	}
+	if !s.Stopped || s.BreakCode != 2 || s.Instrs != n || s.Reg[t0] != 2 {
+		t.Errorf("Run(%d): stopped=%v BreakCode=%d Instrs=%d $t0=%d, want the BREAK stop after %d",
+			n, s.Stopped, s.BreakCode, s.Instrs, s.Reg[t0], n)
+	}
+	s, err = run(n - 1)
+	if err == nil {
+		t.Errorf("Run(%d) of a %d-instruction program returned nil", n-1, n)
+	}
+	if s.Stopped || s.Instrs != n-1 {
+		t.Errorf("Run(%d): stopped=%v Instrs=%d, want %d instructions and no stop",
+			n-1, s.Stopped, s.Instrs, n-1)
 	}
 }
 

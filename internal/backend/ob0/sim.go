@@ -62,10 +62,10 @@ func NewSim(p *Program, mem []byte) *Sim {
 func (s *Sim) Run(maxInstrs int64) error {
 	start := s.Instrs
 	for !s.Stopped {
-		s.step()
 		if maxInstrs > 0 && s.Instrs-start >= maxInstrs {
 			return fmt.Errorf("ob0: exceeded %d instructions at PC=%d", maxInstrs, s.PC)
 		}
+		s.step()
 	}
 	return nil
 }

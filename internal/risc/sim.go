@@ -186,10 +186,10 @@ func (s *Sim) Run(maxInstrs int64) error {
 	}
 	start := s.Instrs
 	for !s.Stopped {
-		s.step()
 		if maxInstrs > 0 && s.Instrs-start >= maxInstrs {
 			return fmt.Errorf("risc: exceeded %d instructions at PC=%d", maxInstrs, s.PC)
 		}
+		s.step()
 	}
 	return nil
 }

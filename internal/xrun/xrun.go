@@ -672,7 +672,7 @@ func (r *Runner) ArmBreak(space uint8, addr uint16) bool {
 func (r *Runner) runRISC(maxInstrs int64) error {
 	budget := int64(0)
 	if maxInstrs > 0 {
-		budget = maxInstrs - r.Sim.Instrs - r.InterludeProf.Instrs + 16
+		budget = maxInstrs - r.Sim.Instrs - r.InterludeProf.Instrs
 	}
 	if err := r.sim.Run(budget); err != nil {
 		return err
