@@ -24,11 +24,13 @@ import (
 	"fmt"
 	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"tnsr/internal/backend"
 	"tnsr/internal/bench"
+	"tnsr/internal/workloads"
 )
 
 func main() {
@@ -42,6 +44,12 @@ func main() {
 	target := flag.String("backend", "mips",
 		"RISC target to measure ("+strings.Join(backend.Names(), ", ")+")")
 	flag.Parse()
+
+	counts, err := parseIters(*iters, bench.Iterations)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
+		os.Exit(2)
+	}
 
 	be, ok := backend.ByName(*target)
 	if !ok {
@@ -60,23 +68,6 @@ func main() {
 		fmt.Fprintf(os.Stderr,
 			"benchtab: measuring backend %q on its own timing model; times are not comparable to the paper's tables\n",
 			be.Name())
-	}
-
-	counts := maps.Clone(bench.Iterations)
-	if *iters != "" {
-		for _, kv := range strings.Split(*iters, ",") {
-			parts := strings.SplitN(kv, "=", 2)
-			if len(parts) != 2 {
-				fmt.Fprintf(os.Stderr, "bad -iters entry %q\n", kv)
-				os.Exit(2)
-			}
-			n, err := strconv.Atoi(parts[1])
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad -iters entry %q: %v\n", kv, err)
-				os.Exit(2)
-			}
-			counts[parts[0]] = n
-		}
 	}
 
 	if *crossover {
@@ -128,4 +119,33 @@ func main() {
 	default:
 		fmt.Print(bench.FullReport(rows))
 	}
+}
+
+// parseIters returns a copy of base with the counts of an -iters spec
+// ("dhry16=500,et1=100") applied. Every name must be one of the paper's
+// workloads and every count at least 1.
+func parseIters(spec string, base map[string]int) (map[string]int, error) {
+	counts := maps.Clone(base)
+	if spec == "" {
+		return counts, nil
+	}
+	for _, kv := range strings.Split(spec, ",") {
+		name, val, ok := strings.Cut(kv, "=")
+		if !ok {
+			return nil, fmt.Errorf("bad -iters entry %q: want name=count", kv)
+		}
+		if !slices.Contains(workloads.Names, name) {
+			return nil, fmt.Errorf("bad -iters entry %q: unknown workload %q (have: %s)",
+				kv, name, strings.Join(workloads.Names, ", "))
+		}
+		n, err := strconv.Atoi(val)
+		if err != nil {
+			return nil, fmt.Errorf("bad -iters entry %q: %v", kv, err)
+		}
+		if n < 1 {
+			return nil, fmt.Errorf("bad -iters entry %q: count %d is below 1", kv, n)
+		}
+		counts[name] = n
+	}
+	return counts, nil
 }
