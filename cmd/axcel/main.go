@@ -53,7 +53,6 @@ import (
 	_ "tnsr/internal/backend/ob0" // register the second target for -backend
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
-	"tnsr/internal/millicode"
 	"tnsr/internal/pgo"
 	"tnsr/internal/profsrv"
 	"tnsr/internal/tcache"
@@ -112,15 +111,8 @@ func main() {
 
 	f := mustRead(flag.Arg(0))
 	opts := core.Options{Level: lvl, Space: uint8(*space), Workers: *workers, Backend: be}
-	if *space == 1 {
-		opts.CodeBase = millicode.LibCodeBase
-	}
 	if *libPath != "" {
-		lib := mustRead(*libPath)
-		opts.LibSummaries = map[uint16]int8{}
-		for i, p := range lib.Procs {
-			opts.LibSummaries[uint16(i)] = p.ResultWords
-		}
+		opts.LibSummaries = mustRead(*libPath).Summaries()
 	}
 	if *profilePath != "" && *profileURL != "" {
 		fmt.Fprintln(os.Stderr, "axcel: -profile and -profile-url are mutually exclusive")

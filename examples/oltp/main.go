@@ -16,7 +16,6 @@ import (
 	"tnsr/internal/core"
 	"tnsr/internal/interp"
 	"tnsr/internal/machine"
-	"tnsr/internal/millicode"
 	"tnsr/internal/risc"
 	"tnsr/internal/workloads"
 	"tnsr/internal/xrun"
@@ -24,22 +23,19 @@ import (
 
 const txns = 200
 
-func run(accelUser, accelLib bool) (cycles float64, interludes int, out string) {
-	w := workloads.MustBuild("et1", txns)
-	if accelUser {
-		opts := core.Options{Level: codefile.LevelFast, LibSummaries: w.LibSummaries}
-		if err := core.Accelerate(w.User, opts); err != nil {
-			log.Fatal(err)
-		}
+// run translates both codefiles at Fast and runs them in mixed mode; with
+// accelUser false the application runs from its plain codefile, so only
+// the library executes translated.
+func run(w *workloads.Workload, accelUser bool) (cycles float64, interludes int, out string) {
+	user, lib, err := core.AcceleratePair(w.User, w.Lib,
+		core.Options{Level: codefile.LevelFast}, core.Accelerate)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if accelLib {
-		if err := core.Accelerate(w.Lib, core.Options{
-			Level: codefile.LevelFast, CodeBase: millicode.LibCodeBase, Space: 1,
-		}); err != nil {
-			log.Fatal(err)
-		}
+	if !accelUser {
+		user = w.User
 	}
-	r, err := xrun.New(w.User, w.Lib, risc.DefaultConfig())
+	r, err := xrun.New(user, lib, risc.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,11 +60,11 @@ func main() {
 	fmt.Printf("%-34s %12.0f cycles   output %q\n",
 		"everything interpreted:", interpCycles, m.Console.String())
 
-	libOnly, inter1, out1 := run(false, true)
+	libOnly, inter1, out1 := run(w, false)
 	fmt.Printf("%-34s %12.0f cycles   interludes %d\n",
 		"library accelerated, app not:", libOnly, inter1)
 
-	both, inter2, out2 := run(true, true)
+	both, inter2, out2 := run(w, true)
 	fmt.Printf("%-34s %12.0f cycles   interludes %d\n",
 		"both codefiles accelerated:", both, inter2)
 

@@ -748,12 +748,12 @@ func testWorkerDeterminism(t *testing.T, be backend.Backend) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := core.Options{Level: lvl, Workers: workers, Backend: be,
-					LibSummaries: w.LibSummaries}
-				if err := core.Accelerate(w.User, opts); err != nil {
+				user, _, err := core.AcceleratePair(w.User, w.Lib,
+					core.Options{Level: lvl, Workers: workers, Backend: be}, core.Accelerate)
+				if err != nil {
 					t.Fatal(err)
 				}
-				return w.User.Accel.RISC
+				return user.Accel.RISC
 			}
 			one, many := bytesAt(1), bytesAt(8)
 			if !reflect.DeepEqual(one, many) {

@@ -7,7 +7,6 @@ import (
 	"tnsr/internal/backend"
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
-	"tnsr/internal/workloads"
 )
 
 // AblationRow quantifies one disabled optimization.
@@ -39,13 +38,12 @@ func Ablate(name string, iterations int, be backend.Backend) ([]AblationRow, err
 			o.DisableSchedule = true
 		}},
 	}
-	_, want, err := interpretWorkload(name, iterations)
+	w, _, want, err := interpretWorkload(name, iterations)
 	if err != nil {
 		return nil, err
 	}
 	var rows []AblationRow
 	for _, v := range variants {
-		w := workloads.MustBuild(name, iterations)
 		opts := core.Options{Level: codefile.LevelDefault, Backend: be}
 		v.mod(&opts)
 		r, err := runTranslated(w, opts, want)
@@ -53,7 +51,7 @@ func Ablate(name string, iterations int, be backend.Backend) ([]AblationRow, err
 			return nil, fmt.Errorf("%s: %w", v.label, err)
 		}
 		total, _, _ := r.Cycles()
-		st := w.User.Accel.Stats
+		st := r.User.Accel.Stats
 		rows = append(rows, AblationRow{
 			Name:      v.label,
 			Cycles:    total,

@@ -21,7 +21,6 @@ import (
 	"tnsr/internal/core"
 	"tnsr/internal/interp"
 	"tnsr/internal/machine"
-	"tnsr/internal/millicode"
 	"tnsr/internal/risc"
 	"tnsr/internal/tns"
 	"tnsr/internal/workloads"
@@ -90,7 +89,7 @@ func MeasureWorkload(name string, iterations int, be backend.Backend) (*Row, err
 
 	// Reference interpreter run: the execution profile prices every CISC
 	// machine and the Cyclone/R software interpreter.
-	m, want, err := interpretWorkload(name, iterations)
+	w, m, want, err := interpretWorkload(name, iterations)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +102,6 @@ func MeasureWorkload(name string, iterations int, be backend.Backend) (*Row, err
 	row.InterpTime = im.Seconds(im.Cycles(&m.Prof.Counts, m.Prof.LongUnits))
 
 	for _, lvl := range Levels {
-		w := workloads.MustBuild(name, iterations)
 		r, err := runTranslated(w, core.Options{Level: lvl, Backend: be}, want)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", name, lvl, err)
@@ -111,9 +109,9 @@ func MeasureWorkload(name string, iterations int, be backend.Backend) (*Row, err
 		total, riscCyc, _ := r.Cycles()
 		row.AccelTime[lvl] = total / (machine.CycloneRClockMHz * 1e6)
 		row.InterpFrac[lvl] = r.InterpFraction()
-		st := w.User.Accel.Stats
-		if w.Lib != nil {
-			ls := w.Lib.Accel.Stats
+		st := r.User.Accel.Stats
+		if r.Lib != nil {
+			ls := r.Lib.Accel.Stats
 			st.TNSInstrs += ls.TNSInstrs
 			st.RISCInstrs += ls.RISCInstrs
 			st.TableWords += ls.TableWords
@@ -130,42 +128,31 @@ func MeasureWorkload(name string, iterations int, be backend.Backend) (*Row, err
 	return row, nil
 }
 
-// interpretWorkload runs a fresh build of the workload on the interpreter
-// and returns the machine, whose profile prices the CISC machines, with
-// its outcome, the reference every translated run is checked against.
-// An unknown name is an error here, so later builds of it cannot panic.
-func interpretWorkload(name string, iterations int) (*interp.Machine, *xrun.Outcome, error) {
-	ref, err := workloads.Build(name, iterations)
+// interpretWorkload builds the workload and runs it on the interpreter. It
+// returns the workload, whose codefiles every translated run translates
+// copies of, the machine, whose profile prices the CISC machines, and its
+// outcome, the reference every translated run is checked against. An
+// unknown name is an error here.
+func interpretWorkload(name string, iterations int) (*workloads.Workload, *interp.Machine, *xrun.Outcome, error) {
+	w, err := workloads.Build(name, iterations)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	m := interp.New(ref.User, ref.Lib)
+	m := interp.New(w.User, w.Lib)
 	want, err := xrun.Interpret(m, 2_000_000_000)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if m.Trap != tns.TrapNone {
-		return nil, nil, fmt.Errorf("%s: trap %d at %d", name, m.Trap, m.TrapP)
+		return nil, nil, nil, fmt.Errorf("%s: trap %d at %d", name, m.Trap, m.TrapP)
 	}
-	return m, want, nil
+	return w, m, want, nil
 }
 
-// runTranslated accelerates w under opts (its library, if any, under the
-// same options at the library's base), runs it with RunAccelerated and
-// checks the run's outcome against want.
+// runTranslated runs w's codefiles translated under opts, as
+// runAccelerated does, and checks the run's outcome against want.
 func runTranslated(w *workloads.Workload, opts core.Options, want *xrun.Outcome) (*xrun.Runner, error) {
-	libOpts := opts
-	opts.LibSummaries = w.LibSummaries
-	if err := core.Accelerate(w.User, opts); err != nil {
-		return nil, err
-	}
-	if w.Lib != nil {
-		libOpts.CodeBase, libOpts.Space = millicode.LibCodeBase, 1
-		if err := core.Accelerate(w.Lib, libOpts); err != nil {
-			return nil, fmt.Errorf("lib: %w", err)
-		}
-	}
-	r, err := RunAccelerated(w)
+	r, err := runAccelerated(w.User, w.Lib, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -175,12 +162,21 @@ func runTranslated(w *workloads.Workload, opts core.Options, want *xrun.Outcome)
 	return r, nil
 }
 
-// RunAccelerated executes an accelerated workload in mixed mode with the
-// Cyclone/R timing configuration.
-func RunAccelerated(w *workloads.Workload) (*xrun.Runner, error) {
-	r, err := newRunner(w.User, w.Lib)
+// runAccelerated translates user and lib under opts (core.AcceleratePair)
+// and runs them in mixed mode with the Cyclone/R timing configuration,
+// observed by opts.Obs when it is set. The runner's User and Lib are the
+// translated copies.
+func runAccelerated(user, lib *codefile.File, opts core.Options) (*xrun.Runner, error) {
+	user, lib, err := core.AcceleratePair(user, lib, opts, core.Accelerate)
 	if err != nil {
 		return nil, err
+	}
+	r, err := newRunner(user, lib)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Obs != nil {
+		r.Observe(opts.Obs)
 	}
 	if err := r.Run(4_000_000_000); err != nil {
 		return nil, err

@@ -18,12 +18,12 @@ func TestDebugCycleBreakdown(t *testing.T) {
 	iters := map[string]int{"dhry16": 10, "dhry32": 10, "tal": 1, "axcel": 1, "et1": 3}
 	penalty := int64(CycloneRConfig().MissPenalty)
 	for _, name := range workloads.Names {
-		_, want, err := interpretWorkload(name, iters[name])
+		w, _, want, err := interpretWorkload(name, iters[name])
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, lvl := range Levels {
-			r, err := runTranslated(workloads.MustBuild(name, iters[name]), core.Options{Level: lvl}, want)
+			r, err := runTranslated(w, core.Options{Level: lvl}, want)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, lvl, err)
 			}

@@ -11,7 +11,7 @@ import (
 func TestParallelPhaseTimings(t *testing.T) {
 	w := workloads.MustBuild("tal", 1)
 	rec := obs.NewRecorder()
-	opts := core.Options{Workers: 4, LibSummaries: w.LibSummaries, Obs: rec}
+	opts := core.Options{Workers: 4, Obs: rec}
 	if err := core.Accelerate(w.User, opts); err != nil {
 		t.Fatal(err)
 	}

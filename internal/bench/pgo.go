@@ -18,19 +18,17 @@ import (
 // `tnsprof -emit-profile` writes to disk. A Source in o pushes the capture
 // through a tnsprofd daemon (the second pass then runs under the fleet
 // aggregate, `tnsprof -push`), a Cache serves the translations; Level,
-// Budget, Config and LibSummaries in o are overwritten from the workload
-// parameters.
+// Budget and Config in o are overwritten from the workload parameters.
 func CaptureWorkload(name string, level codefile.AccelLevel, iterations int,
 	o xrun.AdaptiveOptions) (*pgo.Profile, *obs.Report, error) {
 
-	user, lib, summaries, err := buildProfiled(name, iterations)
+	user, lib, err := buildProfiled(name, iterations)
 	if err != nil {
 		return nil, nil, err
 	}
 	o.Level = level
 	o.Budget = 4_000_000_000
 	o.Config = CycloneRConfig()
-	o.LibSummaries = summaries
 	res, err := xrun.RunAdaptive(user, lib, o)
 	if err != nil {
 		return nil, nil, err

@@ -6,10 +6,8 @@ import (
 
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
-	"tnsr/internal/millicode"
 	"tnsr/internal/obs"
 	"tnsr/internal/talc"
-	"tnsr/internal/tns"
 	"tnsr/internal/workloads"
 )
 
@@ -28,19 +26,19 @@ func ProfileNames() []string {
 
 // buildProfiled builds the named workload or example program. iterations
 // applies to workloads only (0 means the bench default).
-func buildProfiled(name string, iterations int) (user, lib *codefile.File, summaries map[uint16]int8, err error) {
+func buildProfiled(name string, iterations int) (user, lib *codefile.File, err error) {
 	if src, ok := workloads.ExamplePrograms[name]; ok {
 		user, err = talc.Compile(name, src)
-		return user, nil, nil, err
+		return user, nil, err
 	}
 	if iterations <= 0 {
 		iterations = Iterations[name]
 	}
 	w, err := workloads.Build(name, iterations)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return w.User, w.Lib, w.LibSummaries, nil
+	return w.User, w.Lib, nil
 }
 
 // ProfileWorkload translates the named workload or example at level with a
@@ -49,34 +47,14 @@ func buildProfiled(name string, iterations int) (user, lib *codefile.File, summa
 // escape-reason histogram, PMap hit rate, per-procedure attribution and
 // translation-phase timings.
 func ProfileWorkload(name string, level codefile.AccelLevel, iterations int) (*obs.Report, error) {
-	user, lib, summaries, err := buildProfiled(name, iterations)
+	user, lib, err := buildProfiled(name, iterations)
 	if err != nil {
 		return nil, err
 	}
 	rec := obs.NewRecorder()
-	if lib != nil {
-		libOpts := core.Options{
-			Level: level, CodeBase: millicode.LibCodeBase, Space: 1, Obs: rec,
-		}
-		if err := core.Accelerate(lib, libOpts); err != nil {
-			return nil, fmt.Errorf("%s lib: %w", name, err)
-		}
-	}
-	opts := core.Options{Level: level, LibSummaries: summaries, Obs: rec}
-	if err := core.Accelerate(user, opts); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-
-	r, err := newRunner(user, lib)
+	r, err := runAccelerated(user, lib, core.Options{Level: level, Obs: rec})
 	if err != nil {
-		return nil, err
-	}
-	r.Observe(rec)
-	if err := r.Run(4_000_000_000); err != nil {
-		return nil, err
-	}
-	if r.Trap != tns.TrapNone {
-		return nil, fmt.Errorf("%s: trap %d at %d", name, r.Trap, r.TrapP)
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	rep := r.Report(rec)
 	rep.Workload = name

@@ -11,7 +11,6 @@ import (
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
 	"tnsr/internal/fleet"
-	"tnsr/internal/millicode"
 	"tnsr/internal/obs"
 	"tnsr/internal/tnsgen"
 	"tnsr/internal/workloads"
@@ -28,16 +27,13 @@ import (
 // costs in memory.
 func BenchmarkRunnerNew(b *testing.B) {
 	w := workloads.MustBuild("et1", 30)
-	if err := core.Accelerate(w.User, core.Options{Level: codefile.LevelDefault,
-		LibSummaries: w.LibSummaries}); err != nil {
-		b.Fatal(err)
-	}
-	if err := core.Accelerate(w.Lib, core.Options{Level: codefile.LevelDefault,
-		CodeBase: millicode.LibCodeBase, Space: 1}); err != nil {
+	user, lib, err := core.AcceleratePair(w.User, w.Lib,
+		core.Options{Level: codefile.LevelDefault}, core.Accelerate)
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("shared", func(b *testing.B) {
-		img, err := xrun.NewImage(w.User, w.Lib, CycloneRConfig())
+		img, err := xrun.NewImage(user, lib, CycloneRConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +44,7 @@ func BenchmarkRunnerNew(b *testing.B) {
 		}
 	})
 	b.Run("recycled", func(b *testing.B) {
-		img, err := xrun.NewImage(w.User, w.Lib, CycloneRConfig())
+		img, err := xrun.NewImage(user, lib, CycloneRConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -63,7 +59,7 @@ func BenchmarkRunnerNew(b *testing.B) {
 	b.Run("private", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r, err := xrun.New(w.User, w.Lib, CycloneRConfig())
+			r, err := xrun.New(user, lib, CycloneRConfig())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -24,11 +24,12 @@ func BenchmarkSimRun(b *testing.B) {
 	for _, be := range []backend.Backend{mips.Default, ob0.Default} {
 		b.Run(be.Name(), func(b *testing.B) {
 			w := workloads.MustBuild("dhry16", 40)
-			if err := core.Accelerate(w.User, core.Options{Level: codefile.LevelDefault,
-				Backend: be, LibSummaries: w.LibSummaries}); err != nil {
+			user, lib, err := core.AcceleratePair(w.User, w.Lib,
+				core.Options{Level: codefile.LevelDefault, Backend: be}, core.Accelerate)
+			if err != nil {
 				b.Fatal(err)
 			}
-			img, err := xrun.NewImage(w.User, w.Lib, CycloneRConfig())
+			img, err := xrun.NewImage(user, lib, CycloneRConfig())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -11,36 +11,32 @@ import (
 
 // TestVerifySmokeAllWorkloads pins the translator to the structural
 // contract the runtime enforces: every acceleration the Accelerator emits,
-// for every workload at every level, must pass AccelSection.Verify — the
-// same gate a corrupt artifact is degraded by. A failure here means the
-// translator ships artifacts the runtime would refuse to execute.
+// for every workload at every level, must pass AccelSection.Verify at its
+// space's code base — the same gate a corrupt artifact is degraded by. A
+// failure here means the translator ships artifacts the runtime would
+// refuse to execute.
 func TestVerifySmokeAllWorkloads(t *testing.T) {
 	levels := []codefile.AccelLevel{
 		codefile.LevelStmtDebug, codefile.LevelDefault, codefile.LevelFast,
 	}
 	for _, name := range workloads.Names {
+		w, err := workloads.Build(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, lvl := range levels {
-			w, err := workloads.Build(name, 1)
+			user, lib, err := core.AcceleratePair(w.User, w.Lib,
+				core.Options{Level: lvl}, core.Accelerate)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if w.Lib != nil {
-				opts := core.Options{
-					Level: lvl, CodeBase: millicode.LibCodeBase, Space: 1,
+			for space, f := range []*codefile.File{user, lib} {
+				if f == nil {
+					continue
 				}
-				if err := core.Accelerate(w.Lib, opts); err != nil {
-					t.Fatal(err)
+				if err := f.Accel.Verify(f, int(millicode.CodeBase(uint8(space)))); err != nil {
+					t.Errorf("%s space %d at %v: %v", name, space, lvl, err)
 				}
-				if err := w.Lib.Accel.Verify(w.Lib, millicode.LibCodeBase); err != nil {
-					t.Errorf("%s lib at %v: %v", name, lvl, err)
-				}
-			}
-			opts := core.Options{Level: lvl, LibSummaries: w.LibSummaries}
-			if err := core.Accelerate(w.User, opts); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.User.Accel.Verify(w.User, millicode.UserCodeBase); err != nil {
-				t.Errorf("%s user at %v: %v", name, lvl, err)
 			}
 		}
 	}

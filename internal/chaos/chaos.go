@@ -132,10 +132,10 @@ type Reference struct {
 	UserSpans []codefile.SectionSpan
 	LibSpans  []codefile.SectionSpan
 
-	// PlainUserRaw is the user codefile before acceleration (the input to
-	// the stale-profile retranslation).
+	// PlainUserRaw is the user codefile before acceleration, and
+	// LibSummaries the library's summaries (nil without a library): the
+	// inputs to the stale-profile retranslation.
 	PlainUserRaw []byte
-
 	LibSummaries map[uint16]int8
 
 	// Want is the pristine program's outcome under the pure interpreter.
@@ -148,39 +148,33 @@ func NewReference(name string, iterations int, budget int64) (*Reference, error)
 	if err != nil {
 		return nil, err
 	}
-	return NewReferenceFromFiles(name, w.User, w.Lib, w.LibSummaries, budget)
+	// The oracle's ground truth: the pure interpreter on the pristine,
+	// unaccelerated program.
+	want, err := xrun.Interpret(interp.New(w.User, w.Lib), budget)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %s: %w", name, err)
+	}
+	return NewReferenceFromFiles(name, w.User, w.Lib, want)
 }
 
 // NewReferenceFromFiles accelerates and characterizes an arbitrary
 // unaccelerated user/lib pair (lib may be nil), so generated programs —
-// not just the named workloads — can be placed under chaos mutation. It
-// takes ownership of the files and accelerates them in place.
+// not just the named workloads — can be placed under chaos mutation. want
+// is the pair's outcome under the pure interpreter, the caller's reference
+// run. The files are not written.
 func NewReferenceFromFiles(name string, user, lib *codefile.File,
-	libSummaries map[uint16]int8, budget int64) (*Reference, error) {
+	want *xrun.Outcome) (*Reference, error) {
 
-	ref := &Reference{Name: name, LibSummaries: libSummaries}
+	ref := &Reference{Name: name, LibSummaries: lib.Summaries(), Want: want}
 	ref.PlainUserRaw, _ = user.Marshal()
-
-	// The oracle's ground truth: the pure interpreter on the pristine,
-	// unaccelerated program.
-	want, err := xrun.Interpret(interp.New(user, lib), budget)
+	u, l, err := core.AcceleratePair(user, lib,
+		core.Options{Level: codefile.LevelDefault}, core.Accelerate)
 	if err != nil {
-		return nil, fmt.Errorf("chaos: %s: %w", name, err)
-	}
-	ref.Want = want
-
-	opts := core.Options{Level: codefile.LevelDefault, LibSummaries: libSummaries}
-	if err := core.Accelerate(user, opts); err != nil {
 		return nil, fmt.Errorf("chaos: %s accelerate: %w", name, err)
 	}
-	ref.UserRaw, ref.UserSpans = user.Marshal()
-	if lib != nil {
-		libOpts := core.Options{Level: codefile.LevelDefault,
-			CodeBase: millicode.LibCodeBase, Space: 1}
-		if err := core.Accelerate(lib, libOpts); err != nil {
-			return nil, fmt.Errorf("chaos: %s accelerate lib: %w", name, err)
-		}
-		ref.LibRaw, ref.LibSpans = lib.Marshal()
+	ref.UserRaw, ref.UserSpans = u.Marshal()
+	if l != nil {
+		ref.LibRaw, ref.LibSpans = l.Marshal()
 	}
 	return ref, nil
 }
@@ -199,13 +193,11 @@ type Mutant struct {
 // stands between the damage and execution.
 func (ref *Reference) Mutate(rng *rand.Rand, op Op) (*Mutant, error) {
 	mu := &Mutant{Op: op, Target: "user"}
-	raw, spans := ref.UserRaw, ref.UserSpans
-	base := millicode.UserCodeBase
+	raw, spans, space := ref.UserRaw, ref.UserSpans, uint8(0)
 	// Half the mutants of a two-file workload hit the library instead.
 	if ref.LibRaw != nil && op != OpStaleProfile && rng.Intn(2) == 1 {
 		mu.Target = "lib"
-		raw, spans = ref.LibRaw, ref.LibSpans
-		base = millicode.LibCodeBase
+		raw, spans, space = ref.LibRaw, ref.LibSpans, 1
 	}
 
 	data := append([]byte(nil), raw...)
@@ -249,7 +241,7 @@ func (ref *Reference) Mutate(rng *rand.Rand, op Op) (*Mutant, error) {
 			return nil, fmt.Errorf("chaos: pristine %s/%s failed to parse: %w",
 				ref.Name, mu.Target, err)
 		}
-		if err := mutateStructure(f, op, base, rng); err != nil {
+		if err := mutateStructure(f, op, int(millicode.CodeBase(space)), rng); err != nil {
 			return nil, err
 		}
 		data, _ = f.Marshal()

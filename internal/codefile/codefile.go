@@ -172,6 +172,21 @@ func (f *File) Pristine() *File {
 	return &c
 }
 
+// Summaries returns the result-size summaries of f's procedures by PEP
+// index (ResultWords; -1 where none was recorded): the paper's "standard
+// library descriptions" that calls into a system library are translated
+// with. A nil f, a program without a library, gives nil.
+func (f *File) Summaries() map[uint16]int8 {
+	if f == nil {
+		return nil
+	}
+	s := make(map[uint16]int8, len(f.Procs))
+	for i, p := range f.Procs {
+		s[uint16(i)] = p.ResultWords
+	}
+	return s
+}
+
 // ProcByName returns the PEP index of the named procedure, or -1.
 func (f *File) ProcByName(name string) int {
 	for i := range f.Procs {

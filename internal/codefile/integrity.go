@@ -100,7 +100,7 @@ func FixChecksum(data []byte, span SectionSpan) {
 // Verify checks the acceleration section's structural invariants against
 // its owning file: everything that must hold before the runtime may jump
 // into translated code. riscBase is the code-space word index the section
-// is loaded at (millicode.UserCodeBase or LibCodeBase; the PMap and entry
+// is loaded at (millicode.CodeBase of the file's space; the PMap and entry
 // table store absolute indexes). It returns a typed *ErrCorrupt naming the
 // offending section, or nil.
 //

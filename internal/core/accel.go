@@ -74,6 +74,33 @@ func Accelerate(file *codefile.File, opts Options) error {
 	return nil
 }
 
+// AcceleratePair translates Pristine copies of a program's user codefile
+// and its system library (nil for a program without one) and returns
+// them; user and lib are not written. Both translate under opts, except
+// that the library goes to code space 1 and the user file takes the
+// library's result-size summaries (codefile.File.Summaries): the library
+// is translated on its own, and calls into it with its descriptions. The
+// Space, CodeBase and LibSummaries in opts are ignored. Each translation
+// goes through accel: Accelerate, or a stand-in with its contract, such as
+// the retranslation cache or the translation service.
+func AcceleratePair(user, lib *codefile.File, opts Options,
+	accel func(*codefile.File, Options) error) (*codefile.File, *codefile.File, error) {
+	opts.CodeBase = 0 // withDefaults derives it from Space
+	u, l := user.Pristine(), lib.Pristine()
+	userOpts := opts
+	userOpts.Space, userOpts.LibSummaries = 0, lib.Summaries()
+	if err := accel(u, userOpts); err != nil {
+		return nil, nil, err
+	}
+	if l != nil {
+		opts.Space, opts.LibSummaries = 1, nil
+		if err := accel(l, opts); err != nil {
+			return nil, nil, fmt.Errorf("library: %w", err)
+		}
+	}
+	return u, l, nil
+}
+
 // applyProfile gates and expands the attached PGO profile on the private
 // options copy. A profile captured against a different build of the
 // codefile (fingerprint mismatch) is dropped entirely — stale advice must

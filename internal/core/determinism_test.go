@@ -8,7 +8,6 @@ import (
 
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
-	"tnsr/internal/millicode"
 	"tnsr/internal/workloads"
 )
 
@@ -19,32 +18,31 @@ import (
 // codefile covers everything — RISC words, entry table, ExpectedRP, PMap
 // and statistics.
 
-// accelBytes builds the named workload fresh, translates user (and, when
-// present, library) codefiles with the given worker count, and returns the
-// serialized results.
+// accelBytes builds the named workload and returns its codefiles
+// translated with the given worker count and serialized (pairBytes).
 func accelBytes(t *testing.T, name string, level codefile.AccelLevel, workers int) []byte {
 	t.Helper()
 	w, err := workloads.Build(name, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	opts := core.Options{Level: level, Workers: workers, LibSummaries: w.LibSummaries}
-	if err := core.Accelerate(w.User, opts); err != nil {
-		t.Fatalf("%s user: %v", name, err)
-	}
-	if _, err := w.User.WriteTo(&buf); err != nil {
+	return pairBytes(t, w.User, w.Lib, core.Options{Level: level, Workers: workers})
+}
+
+// pairBytes translates user and lib under opts (core.AcceleratePair) and
+// returns the serialized results, the user file's first.
+func pairBytes(t *testing.T, user, lib *codefile.File, opts core.Options) []byte {
+	t.Helper()
+	u, l, err := core.AcceleratePair(user, lib, opts, core.Accelerate)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Lib != nil {
-		libOpts := core.Options{
-			Level: level, Workers: workers,
-			CodeBase: millicode.LibCodeBase, Space: 1,
+	var buf bytes.Buffer
+	for _, f := range []*codefile.File{u, l} {
+		if f == nil {
+			continue
 		}
-		if err := core.Accelerate(w.Lib, libOpts); err != nil {
-			t.Fatalf("%s lib: %v", name, err)
-		}
-		if _, err := w.Lib.WriteTo(&buf); err != nil {
+		if _, err := f.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
 	"tnsr/internal/interp"
-	"tnsr/internal/millicode"
 	"tnsr/internal/obs"
 	"tnsr/internal/risc"
 	"tnsr/internal/talc"
@@ -39,28 +38,17 @@ import (
 
 // diffBackends is the oracle for one program and one backend; a nil be
 // is the core's default target.
-func diffBackends(t *testing.T, lvl codefile.AccelLevel, be backend.Backend,
-	build func() (*codefile.File, *codefile.File, map[uint16]int8)) {
+func diffBackends(t *testing.T, lvl codefile.AccelLevel, be backend.Backend, user, lib *codefile.File) {
 	t.Helper()
 
-	user, lib, summaries := build()
 	want, err := xrun.Interpret(interp.New(user, lib), 30_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	auser, alib, _ := build()
-	opts := core.Options{Level: lvl, Workers: 4, Backend: be, LibSummaries: summaries}
-	if alib != nil {
-		libOpts := core.Options{
-			Level: lvl, Workers: 4, Backend: be,
-			CodeBase: millicode.LibCodeBase, Space: 1,
-		}
-		if err := core.Accelerate(alib, libOpts); err != nil {
-			t.Fatalf("accelerate lib: %v", err)
-		}
-	}
-	if err := core.Accelerate(auser, opts); err != nil {
+	auser, alib, err := core.AcceleratePair(user, lib,
+		core.Options{Level: lvl, Workers: 4, Backend: be}, core.Accelerate)
+	if err != nil {
 		t.Fatalf("accelerate: %v", err)
 	}
 	r, err := xrun.New(auser, alib, risc.Config{MulLatency: 12, DivLatency: 35})
@@ -120,13 +108,11 @@ func diffWorkloads(t *testing.T, be backend.Backend, prefix string) {
 			name, lvl := name, lvl
 			t.Run(fmt.Sprintf("%s%s/%v", prefix, name, lvl), func(t *testing.T) {
 				t.Parallel()
-				diffBackends(t, lvl, be, func() (*codefile.File, *codefile.File, map[uint16]int8) {
-					w, err := workloads.Build(name, 2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return w.User, w.Lib, w.LibSummaries
-				})
+				w, err := workloads.Build(name, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffBackends(t, lvl, be, w.User, w.Lib)
 			})
 		}
 	}
@@ -139,13 +125,11 @@ func diffExamples(t *testing.T, be backend.Backend, prefix string) {
 			name, src, lvl := name, src, lvl
 			t.Run(fmt.Sprintf("%s%s/%v", prefix, name, lvl), func(t *testing.T) {
 				t.Parallel()
-				diffBackends(t, lvl, be, func() (*codefile.File, *codefile.File, map[uint16]int8) {
-					f, err := talc.Compile(name, src)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return f, nil, nil
-				})
+				f, err := talc.Compile(name, src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffBackends(t, lvl, be, f, nil)
 			})
 		}
 	}

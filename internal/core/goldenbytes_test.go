@@ -17,7 +17,7 @@ import (
 	"tnsr/internal/backend/ob0"
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
-	"tnsr/internal/millicode"
+	"tnsr/internal/pgo"
 	"tnsr/internal/workloads"
 )
 
@@ -34,26 +34,21 @@ func TestMIPSBackendByteStable(t *testing.T) {
 	goldenPath := filepath.Join("testdata", "mips_golden.json")
 	got := map[string]string{}
 	for _, name := range workloads.Names {
+		w, err := workloads.Build(name, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, lvl := range []codefile.AccelLevel{
 			codefile.LevelStmtDebug, codefile.LevelDefault, codefile.LevelFast,
 		} {
-			w, err := workloads.Build(name, 2)
+			user, lib, err := core.AcceleratePair(w.User, w.Lib,
+				core.Options{Level: lvl}, core.Accelerate)
 			if err != nil {
-				t.Fatal(err)
-			}
-			opts := core.Options{Level: lvl, LibSummaries: w.LibSummaries}
-			if err := core.Accelerate(w.User, opts); err != nil {
 				t.Fatalf("%s/%v: %v", name, lvl, err)
 			}
-			key := fmt.Sprintf("%s/%v/user", name, lvl)
-			got[key] = accelContentHash(w.User.Accel)
-			if w.Lib != nil {
-				libOpts := core.Options{Level: lvl,
-					CodeBase: millicode.LibCodeBase, Space: 1}
-				if err := core.Accelerate(w.Lib, libOpts); err != nil {
-					t.Fatalf("%s/%v lib: %v", name, lvl, err)
-				}
-				got[fmt.Sprintf("%s/%v/lib", name, lvl)] = accelContentHash(w.Lib.Accel)
+			got[fmt.Sprintf("%s/%v/user", name, lvl)] = accelContentHash(user.Accel)
+			if lib != nil {
+				got[fmt.Sprintf("%s/%v/lib", name, lvl)] = accelContentHash(lib.Accel)
 			}
 		}
 	}
@@ -93,34 +88,31 @@ func TestMIPSBackendByteStable(t *testing.T) {
 }
 
 // TestTransKeyGolden pins TransKey values across commits: the five paper
-// workloads at every level on both backends, for the user options and, where
-// the workload has a library, the library options. Keys address the xlate
-// store and the retranslation cache, so a key that moves silently orphans
-// every stored translation; TestCacheKeySensitivity compares keys within one
-// build only. Regenerate with GOLDEN_REGEN=1 (only legitimate when the key
-// is meant to move).
+// workloads at every level on both backends, for the options
+// core.AcceleratePair translates the user file and, where the workload has
+// a library, the library under. Keys address the xlate store and the
+// retranslation cache, so a key that moves silently orphans every stored
+// translation; TestCacheKeySensitivity compares keys within one build
+// only. Regenerate with GOLDEN_REGEN=1 (only legitimate when the key is
+// meant to move).
 func TestTransKeyGolden(t *testing.T) {
 	goldenPath := filepath.Join("testdata", "transkey_golden.json")
 	got := map[string]string{}
-	put := func(key string, opts core.Options, f *codefile.File) {
-		k, err := opts.TransKey(f.Fingerprint())
-		if err != nil {
-			t.Fatalf("%s: %v", key, err)
-		}
-		got[key] = k
-	}
 	for _, name := range workloads.Names {
 		w := workloads.MustBuild(name, 2)
 		for _, lvl := range []codefile.AccelLevel{
 			codefile.LevelStmtDebug, codefile.LevelDefault, codefile.LevelFast,
 		} {
 			for _, be := range []backend.Backend{mips.Default, ob0.Default} {
-				key := fmt.Sprintf("%s/%v/%s", name, lvl, be.Name())
-				put(key+"/user", core.Options{Level: lvl, Backend: be,
-					LibSummaries: w.LibSummaries}, w.User)
-				if w.Lib != nil {
-					put(key+"/lib", core.Options{Level: lvl, Backend: be,
-						CodeBase: millicode.LibCodeBase, Space: 1}, w.Lib)
+				key := fmt.Sprintf("%s/%v/%s/", name, lvl, be.Name())
+				// Record each translation's key instead of translating.
+				keyOf := func(f *codefile.File, opts core.Options) (err error) {
+					got[key+pgo.SpaceName(opts.Space)], err = opts.TransKey(f.Fingerprint())
+					return err
+				}
+				if _, _, err := core.AcceleratePair(w.User, w.Lib,
+					core.Options{Level: lvl, Backend: be}, keyOf); err != nil {
+					t.Fatalf("%s: %v", key, err)
 				}
 			}
 		}

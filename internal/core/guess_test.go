@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tnsr/internal/core"
+	"tnsr/internal/obs"
 	"tnsr/internal/risc"
 	"tnsr/internal/tnsasm"
 	"tnsr/internal/xrun"
@@ -80,16 +81,16 @@ func TestReturnSizeGuessCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := obs.NewRecorder()
+	r.Observe(rec)
 	if err := r.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if r.Trap != 0 {
 		t.Fatalf("trap %d at %d", r.Trap, r.TrapP)
 	}
-	wrong := 0
-	for _, n := range r.FallbackAt {
-		wrong += min(n, 1)
-	}
+	// A wrong guess trips its site's run-time check: one escape site each.
+	wrong := len(r.Report(rec).Sites)
 	expectedWrong := 0
 	for _, s := range sites {
 		if !s.wantHit {

@@ -43,6 +43,8 @@ type Options struct {
 
 	// LibSummaries gives result-size summaries for the system library
 	// ("standard library descriptions"): PEP index -> result words.
+	// AcceleratePair derives them from the library it translates
+	// (codefile.File.Summaries).
 	LibSummaries map[uint16]int8
 
 	// IgnoreSummaries makes the Accelerator discard the compiler's
@@ -58,12 +60,16 @@ type Options struct {
 	SelectProcs map[string]bool
 
 	// CodeBase is the word index in the RISC code space where this
-	// codefile's translation will be loaded (millicode.UserCodeBase or
-	// millicode.LibCodeBase).
+	// codefile's translation will be loaded. Leave it 0: the base is a
+	// function of Space (millicode.CodeBase), which is what every loader,
+	// cache and verifier assumes. A nonzero value must equal
+	// millicode.CodeBase(Space); the field remains only because
+	// perfbench's paper workloads still spell the library base out.
 	CodeBase uint32
 
 	// Space is the codefile's code-space bit (0 user, 1 library), stored
 	// into $env by prologues so stack markers record the right space.
+	// AcceleratePair sets it for a program's two codefiles.
 	Space uint8
 
 	// Workers is the number of translation workers procedure translation
@@ -233,7 +239,7 @@ func (o Options) withDefaults() Options {
 		o.Backend = mips.Default
 	}
 	if o.CodeBase == 0 {
-		o.CodeBase = millicode.UserCodeBase
+		o.CodeBase = millicode.CodeBase(o.Space)
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)

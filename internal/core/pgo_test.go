@@ -8,7 +8,6 @@ import (
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
 	"tnsr/internal/interp"
-	"tnsr/internal/millicode"
 	"tnsr/internal/obs"
 	"tnsr/internal/pgo"
 	"tnsr/internal/risc"
@@ -204,21 +203,17 @@ func TestProfileConfirmsConflictJoin(t *testing.T) {
 // pure interpreter is the reference, and the two RunAdaptive passes (the
 // second translated with the pass-1 profile, and checked against the first
 // inside RunAdaptive) must match it exactly.
-func profiledDiffSweep(t *testing.T, lvl codefile.AccelLevel,
-	build func() (*codefile.File, *codefile.File, map[uint16]int8)) {
+func profiledDiffSweep(t *testing.T, lvl codefile.AccelLevel, user, lib *codefile.File) {
 	t.Helper()
 
-	user, lib, _ := build()
 	want, err := xrun.Interpret(interp.New(user, lib), 30_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	auser, alib, summaries := build()
-	res, err := xrun.RunAdaptive(auser, alib, xrun.AdaptiveOptions{
+	res, err := xrun.RunAdaptive(user, lib, xrun.AdaptiveOptions{
 		Level: lvl, Workers: 4, Budget: 200_000_000,
-		Config:       risc.Config{MulLatency: 12, DivLatency: 35},
-		LibSummaries: summaries,
+		Config: risc.Config{MulLatency: 12, DivLatency: 35},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -241,13 +236,11 @@ func TestDifferentialProfiledWorkloads(t *testing.T) {
 			name, lvl := name, lvl
 			t.Run(fmt.Sprintf("%s/%v", name, lvl), func(t *testing.T) {
 				t.Parallel()
-				profiledDiffSweep(t, lvl, func() (*codefile.File, *codefile.File, map[uint16]int8) {
-					w, err := workloads.Build(name, 2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return w.User, w.Lib, w.LibSummaries
-				})
+				w, err := workloads.Build(name, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				profiledDiffSweep(t, lvl, w.User, w.Lib)
 			})
 		}
 	}
@@ -262,42 +255,16 @@ func TestParallelDeterminismProfiled(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := xrun.RunAdaptive(w.User, w.Lib, xrun.AdaptiveOptions{
-		Level: codefile.LevelDefault, Budget: 200_000_000,
-		LibSummaries: w.LibSummaries})
+		Level: codefile.LevelDefault, Budget: 200_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prof := res.Profile
 
 	build := func(workers int) []byte {
-		wl, err := workloads.Build("dhry16", 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		opts := core.Options{
-			Level: codefile.LevelDefault, Workers: workers,
-			LibSummaries: wl.LibSummaries, Profile: prof,
-		}
-		if err := core.Accelerate(wl.User, opts); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := wl.User.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if wl.Lib != nil {
-			libOpts := core.Options{
-				Level: codefile.LevelDefault, Workers: workers,
-				CodeBase: millicode.LibCodeBase, Space: 1, Profile: prof,
-			}
-			if err := core.Accelerate(wl.Lib, libOpts); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := wl.Lib.WriteTo(&buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return buf.Bytes()
+		return pairBytes(t, w.User, w.Lib, core.Options{
+			Level: codefile.LevelDefault, Workers: workers, Profile: prof,
+		})
 	}
 
 	ref := build(1)

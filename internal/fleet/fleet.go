@@ -12,7 +12,6 @@ import (
 	"tnsr/internal/core"
 	"tnsr/internal/interp"
 	"tnsr/internal/machine"
-	"tnsr/internal/millicode"
 	"tnsr/internal/obs"
 	"tnsr/internal/pgo"
 	"tnsr/internal/profsrv"
@@ -221,17 +220,23 @@ func Run(cfg Config) (*FleetReport, error) {
 		Seed:           cfg.Seed,
 	}
 
+	// The workload is built and interpreted once per run: only its
+	// translation changes between rounds.
+	w, err := workloads.Build(cfg.Workload, cfg.TxnsPerMachine)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
+	want, err := xrun.Interpret(interp.New(w.User, w.Lib), cfg.Budget)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
+
 	// One chaos reference serves every round: the mutation operators work
 	// on serialized images, so building it once keeps per-round setup at
 	// "mutate bytes", not "re-accelerate the world".
 	var ref *chaos.Reference
 	if cfg.ChaosMachines > 0 {
-		w, err := workloads.Build(cfg.Workload, cfg.TxnsPerMachine)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: %w", err)
-		}
-		ref, err = chaos.NewReferenceFromFiles(cfg.Workload, w.User, w.Lib,
-			w.LibSummaries, cfg.Budget)
+		ref, err = chaos.NewReferenceFromFiles(cfg.Workload, w.User, w.Lib, want)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: chaos reference: %w", err)
 		}
@@ -245,7 +250,7 @@ func Run(cfg Config) (*FleetReport, error) {
 
 	var localCaptures []*pgo.Profile
 	for round := 1; round <= cfg.Rounds; round++ {
-		user, lib, err := buildShared(&cfg, prof)
+		user, lib, err := buildShared(&cfg, w, prof)
 		if err != nil {
 			return nil, err
 		}
@@ -253,14 +258,10 @@ func Run(cfg Config) (*FleetReport, error) {
 			fp := fmt.Sprintf("%016x", user.Fingerprint())
 			if agg, err := hostSource.Fetch(fp); err == nil && agg != nil {
 				// Rebuild under the inherited aggregate before anyone runs.
-				if user, lib, err = buildShared(&cfg, agg); err != nil {
+				if user, lib, err = buildShared(&cfg, w, agg); err != nil {
 					return nil, err
 				}
 			}
-		}
-		want, err := xrun.Interpret(interp.New(user, lib), cfg.Budget)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: %w", err)
 		}
 		cfg.progress("round %d/%d: %d machines (%d chaos), level %s",
 			round, cfg.Rounds, cfg.Machines, cfg.ChaosMachines, cfg.Level)
@@ -281,16 +282,12 @@ func Run(cfg Config) (*FleetReport, error) {
 	return fr, nil
 }
 
-// buildShared compiles and accelerates the fleet's shared codefiles, under
+// buildShared translates w's codefiles into the fleet's shared ones, under
 // prof when non-nil. The returned files are shared READ-ONLY by every
 // machine; the immutability contract (sealed PMaps, one immutable run
 // image per round) is what makes that safe, and the fleet race tests pin
 // it.
-func buildShared(cfg *Config, prof *pgo.Profile) (*codefile.File, *codefile.File, error) {
-	w, err := workloads.Build(cfg.Workload, cfg.TxnsPerMachine)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fleet: %w", err)
-	}
+func buildShared(cfg *Config, w *workloads.Workload, prof *pgo.Profile) (*codefile.File, *codefile.File, error) {
 	accelerate := func(f *codefile.File, opts core.Options) error {
 		if cfg.Xlate != nil {
 			if err := cfg.Xlate.Accelerate(f, opts); err == nil {
@@ -305,21 +302,13 @@ func buildShared(cfg *Config, prof *pgo.Profile) (*codefile.File, *codefile.File
 		}
 		return core.Accelerate(f, opts)
 	}
-	if err := accelerate(w.User, core.Options{
-		Level: cfg.Level, Workers: cfg.Workers,
-		LibSummaries: w.LibSummaries, Profile: prof,
-	}); err != nil {
-		return nil, nil, fmt.Errorf("fleet: accelerate user: %w", err)
+	user, lib, err := core.AcceleratePair(w.User, w.Lib, core.Options{
+		Level: cfg.Level, Workers: cfg.Workers, Profile: prof,
+	}, accelerate)
+	if err != nil {
+		return nil, nil, fmt.Errorf("fleet: accelerate: %w", err)
 	}
-	if w.Lib != nil {
-		if err := accelerate(w.Lib, core.Options{
-			Level: cfg.Level, Workers: cfg.Workers,
-			CodeBase: millicode.LibCodeBase, Space: 1, Profile: prof,
-		}); err != nil {
-			return nil, nil, fmt.Errorf("fleet: accelerate lib: %w", err)
-		}
-	}
-	return w.User, w.Lib, nil
+	return user, lib, nil
 }
 
 // runRound launches every machine concurrently and collects their results

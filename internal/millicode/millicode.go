@@ -61,6 +61,17 @@ const (
 	LibCodeBase  = 0x080000
 )
 
+// CodeBase returns the word index where the translation of code space
+// space (0 user, 1 library) is loaded. The base is a function of the
+// space alone, so translators, loaders, caches and verifiers all derive
+// it here and none has to be told.
+func CodeBase(space uint8) uint32 {
+	if space == 1 {
+		return LibCodeBase
+	}
+	return UserCodeBase
+}
+
 // BREAK codes: how translated code and millicode return control to the
 // host (the xrun mixed-mode driver).
 const (

@@ -113,12 +113,7 @@ func (c *Cache) Accelerate(f *codefile.File, opts core.Options) (hit bool, err e
 	if err != nil {
 		return false, err
 	}
-	base := opts.CodeBase
-	if base == 0 {
-		base = millicode.UserCodeBase
-	}
-
-	if cf := c.getVerified(key, fp, base); cf != nil {
+	if cf := c.getVerified(key, fp, millicode.CodeBase(opts.Space)); cf != nil {
 		f.Accel = cf.Accel
 		c.hits.Add(1)
 		c.st.Touch(key + entrySuffix) // best-effort recency bump

@@ -9,7 +9,6 @@ import (
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
 	"tnsr/internal/interp"
-	"tnsr/internal/millicode"
 	"tnsr/internal/obs"
 	"tnsr/internal/risc"
 	"tnsr/internal/tnsasm"
@@ -68,15 +67,12 @@ type OracleOptions struct {
 // DefaultOracle returns the options the campaign and tests use: all three
 // levels, the fidelity-test budgets, no adaptive or chaos extras.
 func DefaultOracle() OracleOptions {
-	return OracleOptions{
-		Levels: []codefile.AccelLevel{
-			codefile.LevelStmtDebug, codefile.LevelDefault, codefile.LevelFast,
-		},
-		InterpBudget: 3_000_000,
-		RunBudget:    20_000_000,
-	}
+	var o OracleOptions
+	o.fill()
+	return o
 }
 
+// fill sets every unset level list and budget to its default.
 func (o *OracleOptions) fill() {
 	if len(o.Levels) == 0 {
 		o.Levels = []codefile.AccelLevel{
@@ -132,12 +128,10 @@ func RunOracle(s *Subject, o OracleOptions) (res *Result, err error) {
 // them, and every translation goes into a Pristine copy, so they are never
 // written.
 type assembly struct {
-	user, lib    *codefile.File
-	libSummaries map[uint16]int8
+	user, lib *codefile.File
 }
 
-// assemble assembles the subject's codefiles and derives the library SCAL
-// summaries from the assembled RESULT declarations.
+// assemble assembles the subject's codefiles.
 func assemble(s *Subject) (*assembly, error) {
 	user, err := tnsasm.Assemble(s.Name, s.User)
 	if err != nil {
@@ -147,10 +141,6 @@ func assemble(s *Subject) (*assembly, error) {
 	if s.Lib != "" {
 		if a.lib, err = tnsasm.Assemble(s.Name+"-lib", s.Lib); err != nil {
 			return nil, fmt.Errorf("assemble lib: %w", err)
-		}
-		a.libSummaries = map[uint16]int8{}
-		for i, p := range a.lib.Procs {
-			a.libSummaries[uint16(i)] = p.ResultWords
 		}
 	}
 	return a, nil
@@ -185,7 +175,7 @@ func (o *OracleOptions) run(s *Subject, a *assembly, res *Result) error {
 		}
 	}
 	if o.Chaos > 0 {
-		if err := o.chaos(s, a, res); err != nil {
+		if err := o.chaos(s, a, want, res); err != nil {
 			return fmt.Errorf("chaos: %w", err)
 		}
 	}
@@ -201,30 +191,22 @@ func (o *OracleOptions) run(s *Subject, a *assembly, res *Result) error {
 func (o *OracleOptions) level(s *Subject, a *assembly, want *xrun.Outcome,
 	be backend.Backend, lvl codefile.AccelLevel, res *Result) (variant string, err error) {
 
-	rec := obs.NewRecorder()
-	var lib *codefile.File
-	if a.lib != nil {
-		lib = a.lib.Pristine()
-		libOpts := core.Options{Level: lvl, Workers: o.Workers, Backend: be,
-			CodeBase: millicode.LibCodeBase, Space: 1, Obs: rec}
-		if err := core.Accelerate(lib, libOpts); err != nil {
-			return "", fmt.Errorf("accelerate lib: %w", err)
-		}
-	}
-	img, err := o.image(a, lib, be, lvl, nil, rec)
+	accel := sharedLib()
+	opts := core.Options{Level: lvl, Workers: o.Workers, Backend: be, Obs: obs.NewRecorder()}
+	img, err := image(a, opts, accel)
 	if err != nil {
 		return "", err
 	}
-	if err := o.pass(want, img, rec, false, res); err != nil {
+	if err := o.pass(want, img, opts.Obs, false, res); err != nil {
 		return "", err
 	}
 	if len(s.Cold) > 0 {
-		rec := obs.NewRecorder()
-		sel, err := o.image(a, lib, be, lvl, selectWarm(a.user, s.Cold), rec)
+		opts.Obs, opts.SelectProcs = obs.NewRecorder(), selectWarm(a.user, s.Cold)
+		sel, err := image(a, opts, accel)
 		if err != nil {
 			return " (selective)", err
 		}
-		if err := o.pass(want, sel, rec, false, res); err != nil {
+		if err := o.pass(want, sel, opts.Obs, false, res); err != nil {
 			return " (selective)", err
 		}
 	}
@@ -236,19 +218,36 @@ func (o *OracleOptions) level(s *Subject, a *assembly, want *xrun.Outcome,
 	return "", nil
 }
 
-// image translates a Pristine copy of the user file under sel, recording
-// the translation phases in rec, and builds the run image of it with the
-// already translated library (nil when the subject has none).
-func (o *OracleOptions) image(a *assembly, lib *codefile.File, be backend.Backend,
-	lvl codefile.AccelLevel, sel map[string]bool, rec *obs.Recorder) (*xrun.Image, error) {
-
-	user := a.user.Pristine()
-	opts := core.Options{Level: lvl, Workers: o.Workers, Backend: be,
-		LibSummaries: a.libSummaries, SelectProcs: sel, Obs: rec}
-	if err := core.Accelerate(user, opts); err != nil {
+// image translates the subject's codefiles under opts through accel and
+// builds their run image.
+func image(a *assembly, opts core.Options,
+	accel func(*codefile.File, core.Options) error) (*xrun.Image, error) {
+	user, lib, err := core.AcceleratePair(a.user, a.lib, opts, accel)
+	if err != nil {
 		return nil, fmt.Errorf("accelerate: %w", err)
 	}
 	return xrun.NewImage(user, lib, simConfig())
+}
+
+// sharedLib returns an accel for core.AcceleratePair that translates the
+// library once and gives every later library that section, whatever the
+// options: the passes of one (backend, level) share one library
+// translation, and the selective pass runs the plain pass's library.
+func sharedLib() func(*codefile.File, core.Options) error {
+	var sec *codefile.AccelSection
+	return func(f *codefile.File, opts core.Options) error {
+		if opts.Space == 1 && sec != nil {
+			f.Accel = sec
+			return nil
+		}
+		if err := core.Accelerate(f, opts); err != nil {
+			return err
+		}
+		if opts.Space == 1 {
+			sec = f.Accel
+		}
+		return nil
+	}
 }
 
 // selectWarm builds the SelectProcs set: every procedure except the cold
@@ -366,7 +365,7 @@ func sumEscapes(h [obs.NumEscapeReasons]int64) int64 {
 func (o *OracleOptions) adaptive(a *assembly, want *xrun.Outcome, res *Result) error {
 	cyc, err := xrun.RunAdaptive(a.user, a.lib, xrun.AdaptiveOptions{
 		Level: codefile.LevelDefault, Workers: o.Workers, Budget: o.RunBudget,
-		Config: simConfig(), LibSummaries: a.libSummaries,
+		Config: simConfig(),
 	})
 	if err != nil {
 		return err
@@ -406,10 +405,9 @@ func checkAdaptive(want *xrun.Outcome, a *xrun.AdaptiveResult, res *Result) erro
 
 // chaos places the subject under the fault-injection harness: every mutant
 // of its serialized accelerated image must be rejected typed at load or
-// run with output identical to the pristine interpreter.
-func (o *OracleOptions) chaos(s *Subject, a *assembly, res *Result) error {
-	ref, err := chaos.NewReferenceFromFiles(s.Name, a.user.Pristine(), a.lib.Pristine(),
-		a.libSummaries, o.RunBudget)
+// run with output identical to want, the pristine interpreter's.
+func (o *OracleOptions) chaos(s *Subject, a *assembly, want *xrun.Outcome, res *Result) error {
+	ref, err := chaos.NewReferenceFromFiles(s.Name, a.user, a.lib, want)
 	if err != nil {
 		return err
 	}

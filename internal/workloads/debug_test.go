@@ -6,6 +6,7 @@ import (
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
 	"tnsr/internal/interp"
+	"tnsr/internal/obs"
 	"tnsr/internal/risc"
 	"tnsr/internal/talc"
 	"tnsr/internal/tns"
@@ -209,59 +210,58 @@ func TestDebugET1State(t *testing.T) {
 	t.Log("")
 }
 
+// TestDebugFallbacks logs every site where dhry16 and et1 escape to the
+// interpreter at Default, from an observed run's escape sites.
 func TestDebugFallbacks(t *testing.T) {
 	for _, name := range []string{"dhry16", "et1"} {
 		w := MustBuild(name, 2)
-		opts := core.Options{Level: codefile.LevelDefault, LibSummaries: w.LibSummaries}
-		if err := core.Accelerate(w.User, opts); err != nil {
-			t.Fatal(err)
-		}
-		if w.Lib != nil {
-			if err := core.Accelerate(w.Lib, core.Options{Level: codefile.LevelDefault, CodeBase: 0x80000, Space: 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		r, err := xrun.New(w.User, w.Lib, risc.Config{})
+		user, lib, err := core.AcceleratePair(w.User, w.Lib,
+			core.Options{Level: codefile.LevelDefault}, core.Accelerate)
 		if err != nil {
 			t.Fatal(err)
 		}
+		r, err := xrun.New(user, lib, risc.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := obs.NewRecorder()
+		r.Observe(rec)
 		if err := r.Run(100_000_000); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("%s: interludes=%d frac=%.1f%%\n", name, r.Interludes, 100*r.InterpFraction())
-		for k, n := range r.FallbackAt {
-			space := "user"
-			cf := w.User
-			if k>>24 != 0 {
-				space = "lib"
-				cf = w.Lib
+		for _, s := range r.Report(rec).Sites {
+			cf := user
+			if s.Space == "lib" {
+				cf = lib
 			}
-			addr := uint16(k)
-			pi := cf.ProcContaining(addr)
 			pname := "?"
-			if pi >= 0 {
+			if pi := cf.ProcContaining(s.Addr); pi >= 0 {
 				pname = cf.Procs[pi].Name
 			}
-			t.Logf("  fallback %s@%d (%s) x%d: %s\n", space, addr, pname, n,
-				tns.Disassemble(addr, cf.Code[addr]))
+			t.Logf("  %s %s@%d (%s) x%d: %s\n", s.Reason, s.Space, s.Addr, pname, s.Count,
+				tns.Disassemble(s.Addr, cf.Code[s.Addr]))
 		}
 	}
 }
 
 func TestDebugReentry(t *testing.T) {
 	w := MustBuild("et1", 2)
-	core.Accelerate(w.User, core.Options{Level: codefile.LevelDefault, LibSummaries: w.LibSummaries})
-	core.Accelerate(w.Lib, core.Options{Level: codefile.LevelDefault, CodeBase: 0x80000, Space: 1})
-	r, _ := xrun.New(w.User, w.Lib, risc.Config{})
+	user, lib, err := core.AcceleratePair(w.User, w.Lib,
+		core.Options{Level: codefile.LevelDefault}, core.Accelerate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := xrun.New(user, lib, risc.Config{})
 	// Manually step the interpreter like runInterp does, logging transfers.
 	m := r.Int
 	for i := 0; i < 4000 && !m.Halted; i++ {
 		kind := m.Step()
 		if kind != interp.TransferNone {
-			acc := w.User.Accel
+			acc := user.Accel
 			space := "user"
 			if m.Space == interp.SpaceLib {
-				acc, space = w.Lib.Accel, "lib"
+				acc, space = lib.Accel, "lib"
 			}
 			idx, re, ok := acc.PMap.Lookup(m.P)
 			t.Logf("transfer kind=%d to %s@%d: mapped=%v regexact=%v idx=%d\n",

@@ -31,7 +31,9 @@ type Workload struct {
 	// (nil for CPU-bound workloads).
 	User *codefile.File
 	Lib  *codefile.File
-	// LibSummaries feeds the Accelerator's "standard library descriptions".
+	// LibSummaries is Lib.Summaries(), the Accelerator's "standard library
+	// descriptions". core.AcceleratePair derives them itself; the field
+	// remains for perfbench, which translates the user file alone.
 	LibSummaries map[uint16]int8
 }
 
@@ -72,11 +74,7 @@ func Build(name string, iterations int) (*Workload, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workloads: %s library: %w", name, err)
 		}
-		w.Lib = lib
-		w.LibSummaries = map[uint16]int8{}
-		for i, p := range lib.Procs {
-			w.LibSummaries[uint16(i)] = p.ResultWords
-		}
+		w.Lib, w.LibSummaries = lib, lib.Summaries()
 	}
 	return w, nil
 }

@@ -51,23 +51,18 @@ func TestWorkloadFidelityAllModes(t *testing.T) {
 	for _, name := range Names {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			_, want := interpret(t, MustBuild(name, 2))
+			w := MustBuild(name, 2)
+			_, want := interpret(t, w)
 
 			for _, lvl := range []codefile.AccelLevel{
 				codefile.LevelStmtDebug, codefile.LevelDefault, codefile.LevelFast,
 			} {
-				w := MustBuild(name, 2)
-				opts := core.Options{Level: lvl, LibSummaries: w.LibSummaries}
-				if err := core.Accelerate(w.User, opts); err != nil {
+				user, lib, err := core.AcceleratePair(w.User, w.Lib,
+					core.Options{Level: lvl}, core.Accelerate)
+				if err != nil {
 					t.Fatalf("%s/%s: %v", name, lvl, err)
 				}
-				if w.Lib != nil {
-					libOpts := core.Options{Level: lvl, CodeBase: 0x80000, Space: 1}
-					if err := core.Accelerate(w.Lib, libOpts); err != nil {
-						t.Fatalf("%s/%s lib: %v", name, lvl, err)
-					}
-				}
-				r, err := xrun.New(w.User, w.Lib, risc.Config{MulLatency: 12, DivLatency: 35})
+				r, err := xrun.New(user, lib, risc.Config{MulLatency: 12, DivLatency: 35})
 				if err != nil {
 					t.Fatal(err)
 				}

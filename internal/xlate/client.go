@@ -312,11 +312,7 @@ func (c *Client) graft(f, cf *codefile.File, opts core.Options) error {
 		return fmt.Errorf("xlate: served codefile fingerprint %016x does not match local %016x",
 			cf.Fingerprint(), f.Fingerprint())
 	}
-	base := opts.CodeBase
-	if base == 0 {
-		base = millicode.UserCodeBase
-	}
-	if err := cf.Accel.Verify(cf, int(base)); err != nil {
+	if err := cf.Accel.Verify(cf, int(millicode.CodeBase(opts.Space))); err != nil {
 		return fmt.Errorf("xlate: served codefile fails verification: %w", err)
 	}
 	f.Accel = cf.Accel

@@ -12,7 +12,6 @@ import (
 	_ "tnsr/internal/backend/ob0" // register every target a submit may name
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
-	"tnsr/internal/millicode"
 	"tnsr/internal/pgo"
 )
 
@@ -50,7 +49,8 @@ type SubmitRequest struct {
 	Backend string `json:"backend,omitempty"`
 
 	// Space is the code-space bit (0 user, 1 library). Space 1 translates
-	// for millicode.LibCodeBase, exactly as axcel -space 1 does.
+	// for the library's code base (millicode.CodeBase), exactly as axcel
+	// -space 1 does.
 	Space uint8 `json:"space,omitempty"`
 
 	IgnoreSummaries    bool `json:"ignore_summaries,omitempty"`
@@ -172,7 +172,7 @@ func EncodeRequest(f *codefile.File, opts core.Options) (*SubmitRequest, error) 
 
 // DecodeOptions reconstructs the translation options a submit asks for.
 // The returned options carry no Sched/Workers — the server attaches its
-// shared queue — and CodeBase is derived from Space like axcel does.
+// shared queue — and leave CodeBase to be derived from Space.
 func (r *SubmitRequest) DecodeOptions() (core.Options, error) {
 	var opts core.Options
 	switch r.Level {
@@ -196,9 +196,6 @@ func (r *SubmitRequest) DecodeOptions() (core.Options, error) {
 		return opts, fmt.Errorf("space must be 0 or 1, got %d", r.Space)
 	}
 	opts.Space = r.Space
-	if r.Space == 1 {
-		opts.CodeBase = millicode.LibCodeBase
-	}
 	opts.IgnoreSummaries = r.IgnoreSummaries
 	opts.DisableFlagElision = r.DisableFlagElision
 	opts.DisableCSE = r.DisableCSE

@@ -218,10 +218,7 @@ func (s *Server) acceptSubmit(w http.ResponseWriter, r *http.Request) {
 		s.c.Fail(w, r, http.StatusBadRequest, "options", err.Error())
 		return
 	}
-	base := opts.CodeBase
-	if base == 0 {
-		base = millicode.UserCodeBase
-	}
+	base := millicode.CodeBase(opts.Space)
 
 	s.jobMu.Lock()
 	if j := s.jobs[key]; j != nil {
@@ -332,7 +329,7 @@ func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, key string)
 	// previous life or a sibling daemon). The code base is remembered for
 	// known jobs; for unknown keys try both bases — Verify at the wrong
 	// base fails cleanly and the entry is NOT a hit at that base.
-	bases := []uint32{millicode.UserCodeBase, millicode.LibCodeBase}
+	bases := []uint32{millicode.CodeBase(0), millicode.CodeBase(1)}
 	if j != nil {
 		bases = []uint32{st.base}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
-	"tnsr/internal/millicode"
 	"tnsr/internal/obs"
 	"tnsr/internal/pgo"
 	"tnsr/internal/risc"
@@ -43,13 +42,11 @@ type ProfileSource interface {
 // AdaptiveOptions configures RunAdaptive.
 type AdaptiveOptions struct {
 	// Level and Workers configure both passes' translations, Budget
-	// bounds each pass's run, Config is the simulator timing, and
-	// LibSummaries gives the library's SCAL result sizes.
-	Level        codefile.AccelLevel
-	Workers      int
-	Budget       int64
-	Config       risc.Config
-	LibSummaries map[uint16]int8
+	// bounds each pass's run, and Config is the simulator timing.
+	Level   codefile.AccelLevel
+	Workers int
+	Budget  int64
+	Config  risc.Config
 
 	// Source, when non-nil, closes the loop through a fleet profile
 	// service: pass 1 translates under the fetched aggregate, the pass-1
@@ -156,31 +153,18 @@ func runPass(user, lib *codefile.File, o AdaptiveOptions,
 	prof *pgo.Profile, cap *pgo.Capture) (*Runner, *obs.Recorder, error) {
 
 	rec := obs.NewRecorder()
-	accelerate := func(f *codefile.File, opts core.Options) error {
-		if o.Cache != nil {
+	accelerate := core.Accelerate
+	if o.Cache != nil {
+		accelerate = func(f *codefile.File, opts core.Options) error {
 			_, err := o.Cache.Accelerate(f, opts)
 			return err
 		}
-		return core.Accelerate(f, opts)
 	}
-
-	tu := user.Pristine()
-	if err := accelerate(tu, core.Options{
-		Level: o.Level, Workers: o.Workers, LibSummaries: o.LibSummaries,
-		Obs: rec, Profile: prof,
-	}); err != nil {
+	tu, tl, err := core.AcceleratePair(user, lib, core.Options{
+		Level: o.Level, Workers: o.Workers, Obs: rec, Profile: prof,
+	}, accelerate)
+	if err != nil {
 		return nil, nil, err
-	}
-	var tl *codefile.File
-	if lib != nil {
-		tl = lib.Pristine()
-		if err := accelerate(tl, core.Options{
-			Level: o.Level, Workers: o.Workers,
-			CodeBase: millicode.LibCodeBase, Space: 1,
-			Obs: rec, Profile: prof,
-		}); err != nil {
-			return nil, nil, err
-		}
 	}
 	r, err := New(tu, tl, o.Config)
 	if err != nil {

@@ -333,23 +333,26 @@ func TestBreakpointEscapeClassified(t *testing.T) {
 // for the named backends, and the pure interpreter's console for them.
 func et1Accelerated(t *testing.T, userBE, libBE string) (user, lib *codefile.File, want string) {
 	t.Helper()
-	ref := workloads.MustBuild("et1", 2)
-	m := interp.New(ref.User, ref.Lib)
+	w := workloads.MustBuild("et1", 2)
+	m := interp.New(w.User, w.Lib)
 	if err := m.Run(100_000_000); err != nil || !m.Halted {
 		t.Fatalf("reference run: halted=%v err=%v", m.Halted, err)
 	}
-	w := workloads.MustBuild("et1", 2)
 	ube, _ := backend.ByName(userBE)
 	lbe, _ := backend.ByName(libBE)
-	if err := core.Accelerate(w.Lib, core.Options{Level: codefile.LevelDefault, Backend: lbe,
-		CodeBase: millicode.LibCodeBase, Space: 1}); err != nil {
+	perSpace := func(f *codefile.File, opts core.Options) error {
+		opts.Backend = ube
+		if opts.Space == 1 {
+			opts.Backend = lbe
+		}
+		return core.Accelerate(f, opts)
+	}
+	user, lib, err := core.AcceleratePair(w.User, w.Lib,
+		core.Options{Level: codefile.LevelDefault}, perSpace)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.Accelerate(w.User, core.Options{Level: codefile.LevelDefault, Backend: ube,
-		LibSummaries: w.LibSummaries}); err != nil {
-		t.Fatal(err)
-	}
-	return w.User, w.Lib, m.Console.String()
+	return user, lib, m.Console.String()
 }
 
 // TestUnknownBackendsDegradeInOrder: with both sections stamped for an

@@ -7,7 +7,6 @@ import (
 	"tnsr/internal/core"
 	"tnsr/internal/interp"
 	"tnsr/internal/machine"
-	"tnsr/internal/millicode"
 	"tnsr/internal/risc"
 	"tnsr/internal/tns"
 )
@@ -57,12 +56,6 @@ func RunDynamic(user, lib *codefile.File, threshold int, level codefile.AccelLev
 	m := interp.New(user, lib)
 	counts := map[uint32]int{} // space<<16|entry -> calls
 	hot := map[string]bool{}
-	libSummaries := map[uint16]int8{}
-	if lib != nil {
-		for i, p := range lib.Procs {
-			libSummaries[uint16(i)] = p.ResultWords
-		}
-	}
 
 	im := &machine.CycloneRInterp
 	var steps int64
@@ -94,7 +87,7 @@ func RunDynamic(user, lib *codefile.File, threshold int, level codefile.AccelLev
 		// Hand over once something is hot and we sit at a call transfer.
 		if newlyHot && kind == interp.TransferCall && !m.Halted {
 			res.Retranslations++
-			r, err := handOff(user, lib, m, hot, level, workers, libSummaries)
+			r, err := handOff(user, lib, m, hot, level, workers)
 			if err != nil {
 				return nil, err
 			}
@@ -119,24 +112,11 @@ func RunDynamic(user, lib *codefile.File, threshold int, level codefile.AccelLev
 // handOff translates the hot set into fresh codefile copies and adopts the
 // live machine.
 func handOff(user, lib *codefile.File, m *interp.Machine, hot map[string]bool,
-	level codefile.AccelLevel, workers int, libSummaries map[uint16]int8) (*Runner, error) {
-	tu := user.Pristine()
-	opts := core.Options{
-		Level: level, SelectProcs: hot, Workers: workers,
-		LibSummaries: libSummaries,
-	}
-	if err := core.Accelerate(tu, opts); err != nil {
+	level codefile.AccelLevel, workers int) (*Runner, error) {
+	tu, tl, err := core.AcceleratePair(user, lib,
+		core.Options{Level: level, SelectProcs: hot, Workers: workers}, core.Accelerate)
+	if err != nil {
 		return nil, err
-	}
-	var tl *codefile.File
-	if lib != nil {
-		tl = lib.Pristine()
-		if err := core.Accelerate(tl, core.Options{
-			Level: level, SelectProcs: hot, Workers: workers,
-			CodeBase: millicode.LibCodeBase, Space: 1,
-		}); err != nil {
-			return nil, err
-		}
 	}
 	r, err := New(tu, tl, risc.DefaultConfig())
 	if err != nil {
@@ -164,25 +144,12 @@ func procWords(f *codefile.File, pi int) int {
 // outcome it returns for Check against a reference.
 func StaticCost(user, lib *codefile.File, level codefile.AccelLevel,
 	budget int64) (runCycles, translateCycles float64, out *Outcome, err error) {
-	tu := user.Pristine()
-	libSummaries := map[uint16]int8{}
-	var tl *codefile.File
-	if lib != nil {
-		for i, p := range lib.Procs {
-			libSummaries[uint16(i)] = p.ResultWords
-		}
-	}
-	if err := core.Accelerate(tu, core.Options{Level: level, LibSummaries: libSummaries}); err != nil {
+	tu, tl, err := core.AcceleratePair(user, lib, core.Options{Level: level}, core.Accelerate)
+	if err != nil {
 		return 0, 0, nil, err
 	}
 	translateCycles = float64(len(user.Code)) * TranslateCyclesPerWord
 	if lib != nil {
-		tl = lib.Pristine()
-		if err := core.Accelerate(tl, core.Options{
-			Level: level, CodeBase: millicode.LibCodeBase, Space: 1,
-		}); err != nil {
-			return 0, 0, nil, err
-		}
 		translateCycles += float64(len(lib.Code)) * TranslateCyclesPerWord
 	}
 	r, err := New(tu, tl, risc.DefaultConfig())

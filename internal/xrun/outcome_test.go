@@ -7,7 +7,6 @@ import (
 	"tnsr/internal/backend"
 	"tnsr/internal/core"
 	"tnsr/internal/interp"
-	"tnsr/internal/millicode"
 	"tnsr/internal/obs"
 	"tnsr/internal/risc"
 	"tnsr/internal/tns"
@@ -70,17 +69,12 @@ func TestOutcomeWorkloadRun(t *testing.T) {
 			if !ok {
 				t.Fatalf("backend %q not registered", name)
 			}
-			a := workloads.MustBuild("et1", 2)
-			if err := core.Accelerate(a.User, core.Options{Backend: be, LibSummaries: a.LibSummaries}); err != nil {
+			user, lib, err := core.AcceleratePair(w.User, w.Lib,
+				core.Options{Backend: be}, core.Accelerate)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if a.Lib != nil {
-				if err := core.Accelerate(a.Lib, core.Options{Backend: be,
-					CodeBase: millicode.LibCodeBase, Space: 1}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			r, err := New(a.User, a.Lib, risc.Config{})
+			r, err := New(user, lib, risc.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,7 +6,6 @@ import (
 
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
-	"tnsr/internal/millicode"
 	"tnsr/internal/obs"
 	"tnsr/internal/pgo"
 	"tnsr/internal/risc"
@@ -22,15 +21,9 @@ import (
 // cache was exactly such a case; it is now sealed at translation time).
 func TestSharedCodefileManyRunners(t *testing.T) {
 	w := workloads.MustBuild("et1", 2)
-	if err := core.Accelerate(w.User, core.Options{
-		Level: codefile.LevelDefault, LibSummaries: w.LibSummaries,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := core.Accelerate(w.Lib, core.Options{
-		Level:    codefile.LevelDefault,
-		CodeBase: millicode.LibCodeBase, Space: 1,
-	}); err != nil {
+	user, lib, err := core.AcceleratePair(w.User, w.Lib,
+		core.Options{Level: codefile.LevelDefault}, core.Accelerate)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -43,7 +36,7 @@ func TestSharedCodefileManyRunners(t *testing.T) {
 		interpIn int64
 	}
 	runOne := func() outcome {
-		r, err := New(w.User, w.Lib, risc.DefaultConfig())
+		r, err := New(user, lib, risc.DefaultConfig())
 		if err != nil {
 			t.Error(err)
 			return outcome{}
@@ -58,7 +51,7 @@ func TestSharedCodefileManyRunners(t *testing.T) {
 		}
 		// Exercise the shared PMap's read paths from this goroutine too:
 		// Lookup and Inverse must stay write-free on a sealed map.
-		if pm := &w.User.Accel.PMap; pm.Len() > 0 {
+		if pm := &user.Accel.PMap; pm.Len() > 0 {
 			for a := 0; a < pm.Len(); a += 7 {
 				if idx, _, ok := pm.Lookup(uint16(a)); ok {
 					pm.Inverse(idx)
@@ -112,8 +105,7 @@ func TestSharedCodefileConcurrentAdaptive(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			res, err := RunAdaptive(w.User, w.Lib, AdaptiveOptions{
-				Budget: 50_000_000, Config: risc.DefaultConfig(),
-				LibSummaries: w.LibSummaries})
+				Budget: 50_000_000, Config: risc.DefaultConfig()})
 			if err != nil {
 				t.Error(err)
 				return

@@ -59,9 +59,6 @@ type Runner struct {
 	// between the interpreter's and the simulator's memory, both
 	// directions, including New's initial mirror.
 	MirroredPages int
-	// FallbackAt counts interpreter entries by (space<<16 | TNS address),
-	// for diagnosing puzzle hot spots.
-	FallbackAt map[uint32]int
 
 	Halted     bool
 	ExitStatus uint16
@@ -179,18 +176,16 @@ func NewImage(user, lib *codefile.File, cfg risc.Config) (*Image, error) {
 	}
 	img := &Image{user: user, lib: lib}
 
-	if user.Accel != nil {
-		if err := user.Accel.Verify(user, millicode.UserCodeBase); err != nil {
-			img.setDegraded(0, err)
-		} else {
-			img.accel[0] = user.Accel
+	var bases [2]int
+	for i, f := range [2]*codefile.File{user, lib} {
+		bases[i] = int(millicode.CodeBase(uint8(i)))
+		if f == nil || f.Accel == nil {
+			continue
 		}
-	}
-	if lib != nil && lib.Accel != nil {
-		if err := lib.Accel.Verify(lib, millicode.LibCodeBase); err != nil {
-			img.setDegraded(1, err)
+		if err := f.Accel.Verify(f, bases[i]); err != nil {
+			img.setDegraded(i, err)
 		} else {
-			img.accel[1] = lib.Accel
+			img.accel[i] = f.Accel
 		}
 	}
 
@@ -228,8 +223,7 @@ func NewImage(user, lib *codefile.File, cfg risc.Config) (*Image, error) {
 	// sections are stored.
 	milli, _ := img.be.Millicode()
 	segs := []backend.Segment{{Words: milli}}
-	codeLen := millicode.UserCodeBase
-	bases := [2]int{millicode.UserCodeBase, millicode.LibCodeBase}
+	codeLen := bases[0]
 	for i, a := range img.accel {
 		if a != nil {
 			segs = append(segs, backend.Segment{Base: uint32(bases[i]), Words: a.RISC})
@@ -731,11 +725,6 @@ func (r *Runner) runRISC(maxInstrs int64) error {
 		r.syncMemToInt()
 	case s.BreakCode == millicode.BreakFallback:
 		p := uint16(s.Reg[risc.RegMT])
-		if r.FallbackAt == nil {
-			r.FallbackAt = map[uint32]int{}
-		}
-		spaceBit := uint32(s.Reg[risc.RegENV]) & 0x100
-		r.FallbackAt[spaceBit<<8|uint32(p)]++
 		if r.Obs != nil {
 			space := interp.UnpackENVSpace(uint16(s.Reg[risc.RegENV]))
 			r.Obs.Escape(uint8(space), p, r.fallbackReason(space, p), true)
