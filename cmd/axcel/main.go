@@ -108,6 +108,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "axcel: %v\n", err)
 		os.Exit(2)
 	}
+	if *space != 0 && *space != 1 {
+		fmt.Fprintf(os.Stderr, "axcel: -space %d: want 0 (user) or 1 (library)\n", *space)
+		os.Exit(2)
+	}
 
 	f := mustRead(flag.Arg(0))
 	opts := core.Options{Level: lvl, Space: uint8(*space), Workers: *workers, Backend: be}

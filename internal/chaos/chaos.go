@@ -132,11 +132,11 @@ type Reference struct {
 	UserSpans []codefile.SectionSpan
 	LibSpans  []codefile.SectionSpan
 
-	// PlainUserRaw is the user codefile before acceleration, and
-	// LibSummaries the library's summaries (nil without a library): the
-	// inputs to the stale-profile retranslation.
-	PlainUserRaw []byte
-	LibSummaries map[uint16]int8
+	// User and Lib are the plain (unaccelerated) files the images were
+	// translated from, Lib nil without a library: the stale-profile
+	// operator retranslates them. They are the caller's files, never
+	// written.
+	User, Lib *codefile.File
 
 	// Want is the pristine program's outcome under the pure interpreter.
 	Want *xrun.Outcome
@@ -165,8 +165,7 @@ func NewReference(name string, iterations int, budget int64) (*Reference, error)
 func NewReferenceFromFiles(name string, user, lib *codefile.File,
 	want *xrun.Outcome) (*Reference, error) {
 
-	ref := &Reference{Name: name, LibSummaries: lib.Summaries(), Want: want}
-	ref.PlainUserRaw, _ = user.Marshal()
+	ref := &Reference{Name: name, User: user, Lib: lib, Want: want}
 	u, l, err := core.AcceleratePair(user, lib,
 		core.Options{Level: codefile.LevelDefault}, core.Accelerate)
 	if err != nil {
@@ -246,17 +245,13 @@ func (ref *Reference) Mutate(rng *rand.Rand, op Op) (*Mutant, error) {
 		}
 		data, _ = f.Marshal()
 	case OpStaleProfile:
-		f, err := codefile.Read(bytes.NewReader(ref.PlainUserRaw))
-		if err != nil {
-			return nil, fmt.Errorf("chaos: plain %s failed to parse: %w", ref.Name, err)
-		}
-		prof := staleProfile(f.Name, rng)
 		opts := core.Options{Level: codefile.LevelDefault,
-			LibSummaries: ref.LibSummaries, Profile: prof}
-		if err := core.Accelerate(f, opts); err != nil {
+			Profile: staleProfile(ref.User.Name, rng)}
+		u, _, err := core.AcceleratePair(ref.User, ref.Lib, opts, userOnly)
+		if err != nil {
 			return nil, fmt.Errorf("chaos: stale-profile accelerate: %w", err)
 		}
-		data, _ = f.Marshal()
+		data, _ = u.Marshal()
 	default:
 		return nil, fmt.Errorf("chaos: unknown op %d", op)
 	}
@@ -267,6 +262,15 @@ func (ref *Reference) Mutate(rng *rand.Rand, op Op) (*Mutant, error) {
 		mu.Lib = data
 	}
 	return mu, nil
+}
+
+// userOnly stands in for core.Accelerate in core.AcceleratePair where only
+// the user file is retranslated: the library stays untranslated.
+func userOnly(f *codefile.File, opts core.Options) error {
+	if opts.Space == 1 {
+		return nil
+	}
+	return core.Accelerate(f, opts)
 }
 
 // mutateStructure applies one guaranteed-Verify-violating structural

@@ -197,18 +197,44 @@ func (f *File) ProcByName(name string) int {
 	return -1
 }
 
-// ProcContaining returns the index of the procedure whose body contains the
-// given code address, assuming procedures are laid out contiguously in PEP
-// entry order. Returns -1 if the address precedes all entries.
-func (f *File) ProcContaining(addr uint16) int {
-	best, bestEntry := -1, -1
+// ProcOf returns, for each code word, the PEP index of the procedure whose
+// body holds it, or -1 for a word below every entry. A procedure's body
+// runs from its entry up to the next higher entry (Owners), so where two
+// PEP rows share an entry the later row owns the body. A nil f gives nil.
+func (f *File) ProcOf() []int32 {
+	if f == nil {
+		return nil
+	}
+	starts := make([]int, len(f.Procs))
 	for i := range f.Procs {
-		e := int(f.Procs[i].Entry)
-		if e <= int(addr) && e > bestEntry {
-			best, bestEntry = i, e
+		starts[i] = int(f.Procs[i].Entry)
+	}
+	return Owners(len(f.Code), starts)
+}
+
+// Owners splits the words [0, n) among owners by their start words: word w
+// belongs to the owner with the highest start at or below w, and where
+// several owners start at one word the highest index wins. Words below
+// every start get -1; a start that is negative, or at or past n, owns
+// nothing. The cost is O(n + len(starts)).
+func Owners(n int, starts []int) []int32 {
+	owner := make([]int32, n)
+	for w := range owner {
+		owner[w] = -1
+	}
+	for i, s := range starts {
+		if s >= 0 && s < n {
+			owner[s] = int32(i)
 		}
 	}
-	return best
+	cur := int32(-1)
+	for w, o := range owner {
+		if o >= 0 {
+			cur = o
+		}
+		owner[w] = cur
+	}
+	return owner
 }
 
 // StatementAt returns the statement starting exactly at addr, or nil.

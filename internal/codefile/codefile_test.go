@@ -2,6 +2,7 @@ package codefile
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -76,19 +77,60 @@ func TestProcByName(t *testing.T) {
 	}
 }
 
-func TestProcContaining(t *testing.T) {
-	f := sampleFile(false)
-	if got := f.ProcContaining(0); got != 0 {
-		t.Errorf("ProcContaining(0) = %d", got)
+// TestOwners pins the one rule every attribution table follows: a word
+// belongs to the highest start at or below it, the highest index wins a
+// shared start, and words below every start belong to no one.
+func TestOwners(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		n      int
+		starts []int
+		want   []int32
+	}{
+		{"sorted", 6, []int{0, 3}, []int32{0, 0, 0, 1, 1, 1}},
+		{"unsorted", 6, []int{4, 1, 2}, []int32{-1, 1, 2, 2, 0, 0}},
+		{"shared start", 5, []int{1, 3, 1, 0}, []int32{3, 2, 2, 1, 1}},
+		{"at or past the end", 4, []int{0, 4, 9}, []int32{0, 0, 0, 0}},
+		{"below the lowest start", 4, []int{2}, []int32{-1, -1, 0, 0}},
+		{"negative start", 3, []int{-1, 1}, []int32{-1, 1, 1}},
+		{"no owners", 3, nil, []int32{-1, -1, -1}},
+		{"no words", 0, []int{0}, []int32{}},
+	} {
+		if got := Owners(c.n, c.starts); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: Owners(%d, %v) = %v, want %v", c.name, c.n, c.starts, got, c.want)
+		}
 	}
-	if got := f.ProcContaining(5); got != 0 {
-		t.Errorf("ProcContaining(5) = %d", got)
+}
+
+// TestProcOf applies the rule to PEP tables: bodies run from an entry to
+// the next higher one in code order, whatever the row order.
+func TestProcOf(t *testing.T) {
+	rows := func(entries ...uint16) []Proc {
+		ps := make([]Proc, len(entries))
+		for i, e := range entries {
+			ps[i] = Proc{Name: fmt.Sprint("p", i), Entry: e}
+		}
+		return ps
 	}
-	if got := f.ProcContaining(6); got != 1 {
-		t.Errorf("ProcContaining(6) = %d", got)
-	}
-	if got := f.ProcContaining(11); got != 1 {
-		t.Errorf("ProcContaining(11) = %d", got)
+	for _, c := range []struct {
+		name string
+		f    *File
+		want []int32
+	}{
+		{"sample", sampleFile(false),
+			[]int32{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}},
+		{"unsorted", &File{Code: make([]uint16, 5), Procs: rows(3, 0)},
+			[]int32{1, 1, 1, 0, 0}},
+		{"two rows at one entry", &File{Code: make([]uint16, 4), Procs: rows(0, 2, 2)},
+			[]int32{0, 0, 2, 2}},
+		{"entries at and past the end", &File{Code: make([]uint16, 3), Procs: rows(1, 3, 7)},
+			[]int32{-1, 0, 0}},
+		{"no procedures", &File{Code: make([]uint16, 2)}, []int32{-1, -1}},
+		{"nil file", nil, nil},
+	} {
+		if got := c.f.ProcOf(); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: ProcOf() = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

@@ -18,7 +18,10 @@ import (
 // byte-identical for every worker count. opts is taken by value and
 // defaulted through a private copy: the caller's struct is never written to.
 func Accelerate(file *codefile.File, opts Options) error {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return err
+	}
 	if len(file.Procs) == 0 {
 		return fmt.Errorf("core: codefile %q has no procedures", file.Name)
 	}
@@ -146,7 +149,10 @@ type AnalysisReport struct {
 
 // Analyze runs the Accelerator's analysis phases only.
 func Analyze(file *codefile.File, opts Options) (*AnalysisReport, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	applyProfile(file, &opts)
 	p, err := analyze(file, &opts)
 	if err != nil {

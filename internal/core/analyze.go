@@ -26,8 +26,9 @@ type program struct {
 	kind  []WordKind
 	instr []tns.Instr // decoded, valid where kind==KindInstr
 
-	// procOf maps each code word to its procedure index (by PEP layout).
-	procOf []int16
+	// procOf maps each code word to its procedure index
+	// (codefile.File.ProcOf), -1 below every entry.
+	procOf []int32
 
 	// labels are addresses that may be entered by dynamic jumps (CASE
 	// targets and statement labels); they must be register-exact.
@@ -87,30 +88,12 @@ func analyze(f *codefile.File, opts *Options) (*program, error) {
 		opts:        opts,
 		kind:        make([]WordKind, n),
 		instr:       make([]tns.Instr, n),
-		procOf:      make([]int16, n),
+		procOf:      f.ProcOf(),
 		caseTargets: map[uint16]bool{},
 		blockStart:  map[uint16]bool{},
 		rpAt:        make([]int8, n),
 		puzzle:      map[uint16]string{},
 	}
-	for i := range p.procOf {
-		p.procOf[i] = -1
-	}
-	// Procedure extents: PEP entries sorted by address define bodies.
-	for pi := range f.Procs {
-		entry := int(f.Procs[pi].Entry)
-		end := n
-		for pj := range f.Procs {
-			e := int(f.Procs[pj].Entry)
-			if e > entry && e < end {
-				end = e
-			}
-		}
-		for a := entry; a < end; a++ {
-			p.procOf[a] = int16(pi)
-		}
-	}
-
 	// Depth-first reachability from every PEP entry and every statement
 	// label (labels may be targets of jumps through pointer variables).
 	var stack []uint16

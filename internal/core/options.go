@@ -69,7 +69,8 @@ type Options struct {
 
 	// Space is the codefile's code-space bit (0 user, 1 library), stored
 	// into $env by prologues so stack markers record the right space.
-	// AcceleratePair sets it for a program's two codefiles.
+	// AcceleratePair sets it for a program's two codefiles; any other
+	// value is an error.
 	Space uint8
 
 	// Workers is the number of translation workers procedure translation
@@ -154,7 +155,10 @@ func DefaultOptions() Options {
 // for the other. Workers and Obs are deliberately excluded: they change
 // wall-clock and telemetry, never the artifact.
 func (o Options) TransKey(fileFingerprint uint64) (string, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return "", err
+	}
 	h := fnv.New64a()
 	put := func(parts ...any) {
 		fmt.Fprintln(h, parts...)
@@ -228,10 +232,13 @@ func (o Options) TransKey(fileFingerprint uint64) (string, error) {
 	return fmt.Sprintf("%016x", h.Sum64()), nil
 }
 
-// withDefaults returns a copy of o with every unset knob filled in. All
-// entry points defaulted through this copy, so a caller's Options struct is
-// never written to.
-func (o Options) withDefaults() Options {
+// withDefaults returns a copy of o with every unset knob filled in, or an
+// error for a code space other than 0 or 1. All entry points default
+// through this copy, so a caller's Options struct is never written to.
+func (o Options) withDefaults() (Options, error) {
+	if o.Space > 1 {
+		return o, fmt.Errorf("core: code space %d (want 0 user or 1 library)", o.Space)
+	}
 	if o.Level == codefile.LevelNone {
 		o.Level = codefile.LevelDefault
 	}
@@ -244,5 +251,5 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	return o
+	return o, nil
 }

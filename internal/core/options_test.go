@@ -205,6 +205,25 @@ func TestOptionsNotMutated(t *testing.T) {
 	}
 }
 
+// TestCodeSpaceRange: a code space is 0 (user) or 1 (library). Any other
+// value is an error from every entry point, not a section identical to
+// space 0's filed under a cache key of its own.
+func TestCodeSpaceRange(t *testing.T) {
+	for _, sp := range []uint8{2, 255} {
+		opts := core.Options{Space: sp}
+		f := tnsasm.MustAssemble("m", hintProg)
+		if err := core.Accelerate(f, opts); err == nil || f.Accel != nil {
+			t.Errorf("Accelerate accepted space %d", sp)
+		}
+		if _, err := core.Analyze(f, opts); err == nil {
+			t.Errorf("Analyze accepted space %d", sp)
+		}
+		if _, err := opts.TransKey(f.Fingerprint()); err == nil {
+			t.Errorf("TransKey accepted space %d", sp)
+		}
+	}
+}
+
 // TestAnalyzeReport exercises the analysis-only API behind axcel -report.
 func TestAnalyzeReport(t *testing.T) {
 	f := tnsasm.MustAssemble("rep", hintProg)

@@ -76,7 +76,7 @@ func (d *Debugger) Where() Location {
 		loc.Exact = true // the interpreter is always CISC-exact
 	}
 	f := d.file(loc.Space)
-	if pi := f.ProcContaining(loc.TNSAddr); pi >= 0 {
+	if pi := d.R.ProcAt(loc.Space, loc.TNSAddr); pi >= 0 {
 		loc.Proc = f.Procs[pi].Name
 	}
 	loc.Line = -1
@@ -220,7 +220,7 @@ func (d *Debugger) resolveVar(name string) (*codefile.Symbol, uint16, error) {
 	loc := d.Where()
 	f := d.file(loc.Space)
 	upper := strings.ToUpper(name)
-	pi := int32(f.ProcContaining(loc.TNSAddr))
+	pi := int32(d.R.ProcAt(loc.Space, loc.TNSAddr))
 	// Prefer a local/parameter of the current procedure.
 	for i := range f.Symbols {
 		s := &f.Symbols[i]

@@ -7,6 +7,9 @@ import (
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
 	"tnsr/internal/interp"
+	"tnsr/internal/millicode"
+	"tnsr/internal/obs"
+	"tnsr/internal/pgo"
 	"tnsr/internal/risc"
 	"tnsr/internal/talc"
 	"tnsr/internal/xrun"
@@ -230,5 +233,87 @@ func TestUnmappedBreakError(t *testing.T) {
 	}
 	if err := d.BreakAt(interp.SpaceUser, tryAddr); err == nil {
 		t.Log("address happened to be mapped; acceptable")
+	}
+}
+
+// TestSharedEntryOneOwner: where two PEP rows share an entry (codefile.Read
+// accepts that), the body belongs to the later row everywhere a code word
+// is attributed to a procedure: the debugger's location, the PGO profile's
+// residency, the obs report's residency and the quarantine report.
+func TestSharedEntryOneOwner(t *testing.T) {
+	const owner = "alias"
+	f, err := talc.Compile("dbg", prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alias := f.Procs[f.ProcByName("double")]
+	alias.Name = owner
+	f.Procs = append(f.Procs, alias)
+
+	// An interpreted run, captured, stopped at the shared entry.
+	r, err := xrun.New(f, nil, risc.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := pgo.NewCapture()
+	r.Capture(c)
+	d := New(r)
+	if err := d.BreakAt(interp.SpaceUser, alias.Entry); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(10_000_000); err != nil || !r.BPHit {
+		t.Fatalf("no stop at the shared entry (err %v)", err)
+	}
+	if loc := d.Where(); loc.Proc != owner {
+		t.Errorf("debugger at the shared entry: proc %q, want %q", loc.Proc, owner)
+	}
+	d.ClearAll()
+	if err := d.Run(10_000_000); err != nil || !r.Halted {
+		t.Fatalf("run did not finish (err %v)", err)
+	}
+	owned := map[string]int64{}
+	for _, sp := range c.Profile().Spaces {
+		for _, p := range sp.Procs {
+			owned[p.Name] += p.InterpInstrs
+		}
+	}
+	if owned["double"] > 0 || owned[owner] == 0 {
+		t.Errorf("PGO profile: %d body instructions under double and %d under %q, want all under %q",
+			owned["double"], owned[owner], owner, owner)
+	}
+
+	// Translate the body alone and damage its entry: every call enters
+	// translated code at the shared entry and is rolled back until the
+	// procedure is quarantined.
+	acc := f.Pristine()
+	if err := core.Accelerate(acc, core.Options{Level: codefile.LevelDefault,
+		SelectProcs: map[string]bool{owner: true}}); err != nil {
+		t.Fatal(err)
+	}
+	idx, _, ok := acc.Accel.PMap.Lookup(alias.Entry)
+	if !ok {
+		t.Fatal("shared entry not mapped")
+	}
+	acc.Accel.RISC[idx-millicode.UserCodeBase] = risc.EncBreak(7) // no such break code
+	r2, err := xrun.New(acc, nil, risc.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	r2.Observe(rec)
+	if err := r2.Run(10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	rep := r2.Report(rec)
+	if len(rep.Quarantined) != 1 || rep.Quarantined[0].Name != owner {
+		t.Errorf("quarantine report %+v, want %q alone", rep.Quarantined, owner)
+	}
+	clear(owned)
+	for _, p := range rep.Procs {
+		owned[p.Name] += p.InterpInstrs + p.RISCInstrs
+	}
+	if owned["double"] > 0 || owned[owner] == 0 {
+		t.Errorf("obs report: %d body instructions under double and %d under %q, want all under %q",
+			owned["double"], owned[owner], owner, owner)
 	}
 }

@@ -124,10 +124,6 @@ type Config struct {
 	SourceBreakAfter    int
 	SourceBreakCooldown time.Duration
 
-	// Config is the simulator timing model (zero value means the
-	// Cyclone/R defaults).
-	Config risc.Config
-
 	// Progress, when non-nil, receives one-line status messages.
 	Progress func(format string, args ...any)
 
@@ -165,9 +161,6 @@ func (c *Config) fill() {
 	}
 	if c.ChaosMachines > c.Machines {
 		c.ChaosMachines = c.Machines
-	}
-	if (c.Config == risc.Config{}) {
-		c.Config = risc.DefaultConfig()
 	}
 	if c.sourceBr == nil {
 		c.sourceBr = retry.NewBreaker(c.SourceBreakAfter, c.SourceBreakCooldown)
@@ -322,7 +315,7 @@ func runRound(cfg *Config, round int, user, lib *codefile.File,
 
 	// A shared image that fails to build leaves image nil: every standard
 	// machine then builds its own and fails with the same load error.
-	image, _ := xrun.NewImage(user, lib, cfg.Config)
+	image, _ := xrun.NewImage(user, lib, risc.DefaultConfig())
 	slots := make(chan struct{}, cfg.RunSlots)
 	results := make([]*machineResult, cfg.Machines)
 	var wg sync.WaitGroup
@@ -334,7 +327,6 @@ func runRound(cfg *Config, round int, user, lib *codefile.File,
 			user:     user,
 			lib:      lib,
 			want:     want,
-			cfg:      cfg.Config,
 			budget:   cfg.Budget,
 			txns:     cfg.TxnsPerMachine,
 			traffic:  cfg.Traffic,

@@ -80,7 +80,6 @@ type machineSpec struct {
 	user     *codefile.File
 	lib      *codefile.File
 	want     *xrun.Outcome // the round's pure-interpreter reference
-	cfg      risc.Config
 	budget   int64
 	txns     int
 	traffic  Traffic
@@ -122,7 +121,7 @@ func runMachine(spec *machineSpec, slots chan struct{}) (res *machineResult) {
 	img := spec.image
 	if img == nil {
 		var err error
-		if img, err = xrun.NewImage(spec.user, spec.lib, spec.cfg); err != nil {
+		if img, err = xrun.NewImage(spec.user, spec.lib, risc.DefaultConfig()); err != nil {
 			res.state = Failed
 			res.stateReason = "load: " + err.Error()
 			return res

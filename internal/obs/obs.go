@@ -17,7 +17,6 @@
 package obs
 
 import (
-	"sort"
 	"time"
 
 	"tnsr/internal/codefile"
@@ -152,6 +151,7 @@ func NewRecorder() *Recorder {
 // to the image shares it; a Recorder keeps only its counters.
 type Attribution struct {
 	procs  []procName
+	first  [2]int32   // per space: procs index of PEP index 0
 	interp [2][]int32 // per space: TNS code word -> procs index
 
 	// RISC attribution over the code space [0, codeWords): millicode
@@ -175,61 +175,70 @@ type riscRegion struct {
 // section loaded for each space, nil for a space that runs interpreted
 // (untranslated, or refused at load), and base[i] the code word it is
 // loaded at; millicode occupies [0, base[0]). codeWords is the length of
-// the code space.
+// the code space. Both kinds of table split words among procedures by
+// codefile.Owners: TNS words by PEP entry (File.ProcOf), RISC words by
+// translated entry point.
 func NewAttribution(user, lib *codefile.File, accel [2]*codefile.AccelSection,
 	codeWords int, base [2]int) *Attribution {
 	a := &Attribution{codeWords: uint32(codeWords), userBase: uint32(base[0])}
-	addProc := func(name, space string) int32 {
-		a.procs = append(a.procs, procName{name: name, space: space})
-		return int32(len(a.procs) - 1)
-	}
-
 	files := [2]*codefile.File{user, lib}
 	spaceNames := [2]string{"user", "lib"}
-	var fileIDs [2][]int32
 	for sp, f := range files {
 		if f == nil {
 			continue
 		}
-		ids := make([]int32, len(f.Procs))
+		a.first[sp] = int32(len(a.procs))
 		for pi := range f.Procs {
-			ids[pi] = addProc(f.Procs[pi].Name, spaceNames[sp])
+			a.procs = append(a.procs, procName{name: f.Procs[pi].Name, space: spaceNames[sp]})
 		}
-		fileIDs[sp] = ids
 	}
-	a.milliID = addProc("(millicode)", "milli")
-	a.otherID = addProc("(other)", "")
+	a.milliID = int32(len(a.procs))
+	a.otherID = a.milliID + 1
+	a.procs = append(a.procs, procName{"(millicode)", "milli"}, procName{"(other)", ""})
 
-	// Interpreter attribution: procedures are laid out contiguously in
-	// ascending entry order, so fill each entry's range up to the next.
 	for sp, f := range files {
 		if f == nil {
 			continue
 		}
-		ents := make([]denseEnt, 0, len(f.Procs))
-		for pi := range f.Procs {
-			ents = append(ents, denseEnt{at: int(f.Procs[pi].Entry), id: fileIDs[sp][pi]})
-		}
-		a.interp[sp] = fillDense(len(f.Code), ents, a.otherID)
-	}
-
-	// RISC attribution: each loaded translation's region is split by its
-	// absolute entry-point table.
-	for sp, acc := range accel {
-		if acc == nil || files[sp] == nil {
+		a.interp[sp] = a.ids(sp, f.ProcOf())
+		acc := accel[sp]
+		if acc == nil {
 			continue
 		}
-		end := min(base[sp]+len(acc.RISC), codeWords)
-		ents := make([]denseEnt, 0, len(acc.Entries))
-		for pi, e := range acc.Entries {
-			if e >= 0 && pi < len(fileIDs[sp]) {
-				ents = append(ents, denseEnt{at: int(e) - base[sp], id: fileIDs[sp][pi]})
-			}
+		// Each loaded translation's region is split by its absolute
+		// entry-point table; an untranslated procedure's -1 stays
+		// negative, so it owns nothing.
+		n := max(min(base[sp]+len(acc.RISC), codeWords)-base[sp], 0)
+		starts := make([]int, min(len(acc.Entries), len(f.Procs)))
+		for pi := range starts {
+			starts[pi] = int(acc.Entries[pi]) - base[sp]
 		}
-		a.regions[sp] = riscRegion{base: uint32(base[sp]),
-			ids: fillDense(max(end-base[sp], 0), ents, a.otherID)}
+		a.regions[sp] = riscRegion{base: uint32(base[sp]), ids: a.ids(sp, codefile.Owners(n, starts))}
 	}
 	return a
+}
+
+// ids rewrites a table of space sp's PEP indexes in place into procs
+// indexes, with (other) for words no procedure owns.
+func (a *Attribution) ids(sp int, owner []int32) []int32 {
+	for w, pi := range owner {
+		if pi < 0 {
+			owner[w] = a.otherID
+		} else {
+			owner[w] = a.first[sp] + pi
+		}
+	}
+	return owner
+}
+
+// ProcAt returns the PEP index of the procedure whose body holds TNS code
+// word addr in the given space, or -1 for a word no procedure owns.
+func (a *Attribution) ProcAt(space uint8, addr uint16) int {
+	t := a.interp[space&1]
+	if int(addr) >= len(t) || t[addr] == a.otherID {
+		return -1
+	}
+	return int(t[addr] - a.first[space&1])
 }
 
 // riscProc returns the procedure index of RISC code word pc, or -1 for a
@@ -254,36 +263,6 @@ func (a *Attribution) riscProc(pc uint32) int32 {
 func (r *Recorder) Attach(a *Attribution) {
 	r.attr = a
 	r.counts = make([]procCount, len(a.procs))
-}
-
-type denseEnt struct {
-	at int
-	id int32
-}
-
-// fillDense builds a dense attribution table of length n: each entry owns
-// [entry.at, next entry.at), addresses before the first entry get def.
-func fillDense(n int, ents []denseEnt, def int32) []int32 {
-	t := make([]int32, n)
-	for i := range t {
-		t[i] = def
-	}
-	sort.Slice(ents, func(i, j int) bool {
-		if ents[i].at != ents[j].at {
-			return ents[i].at < ents[j].at
-		}
-		return ents[i].id < ents[j].id
-	})
-	for i, e := range ents {
-		end := n
-		if i+1 < len(ents) && ents[i+1].at < n {
-			end = ents[i+1].at
-		}
-		for a := e.at; a >= 0 && a < end; a++ {
-			t[a] = e.id
-		}
-	}
-	return t
 }
 
 // InterpStep records one interpreted instruction at TNS address p in the

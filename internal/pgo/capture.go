@@ -23,8 +23,9 @@ type Capture struct {
 
 	files [2]*codefile.File
 	// procAt maps TNS code addresses to PEP indexes per space (-1 where
-	// unattributed), built by AttachFiles; residency attribution is two
-	// array reads, no map in the interpreter hot path.
+	// unattributed): codefile.File.ProcOf, the table obs attributes
+	// residency by. Residency attribution is two array reads, no map in
+	// the interpreter hot path.
 	procAt [2][]int32
 
 	procCalls  [2][]int64 // per PEP index
@@ -56,32 +57,11 @@ func NewCapture() *Capture {
 func (c *Capture) AttachFiles(user, lib *codefile.File) {
 	c.files = [2]*codefile.File{user, lib}
 	for sp, f := range c.files {
-		if f == nil {
-			c.procAt[sp] = nil
-			continue
+		c.procAt[sp] = f.ProcOf()
+		if f != nil {
+			c.procCalls[sp] = make([]int64, len(f.Procs))
+			c.procInterp[sp] = make([]int64, len(f.Procs))
 		}
-		t := make([]int32, len(f.Code))
-		for i := range t {
-			t[i] = -1
-		}
-		// Procedures are laid out contiguously in ascending entry order;
-		// each entry owns the range up to the next-larger entry.
-		for pi := range f.Procs {
-			start := int(f.Procs[pi].Entry)
-			end := len(f.Code)
-			for pj := range f.Procs {
-				e := int(f.Procs[pj].Entry)
-				if e > start && e < end {
-					end = e
-				}
-			}
-			for a := start; a < end; a++ {
-				t[a] = int32(pi)
-			}
-		}
-		c.procAt[sp] = t
-		c.procCalls[sp] = make([]int64, len(f.Procs))
-		c.procInterp[sp] = make([]int64, len(f.Procs))
 	}
 }
 

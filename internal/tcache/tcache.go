@@ -113,10 +113,9 @@ func (c *Cache) Accelerate(f *codefile.File, opts core.Options) (hit bool, err e
 	if err != nil {
 		return false, err
 	}
-	if cf := c.getVerified(key, fp, millicode.CodeBase(opts.Space)); cf != nil {
+	if _, cf := c.get(key, fp, millicode.CodeBase(opts.Space)); cf != nil {
 		f.Accel = cf.Accel
 		c.hits.Add(1)
-		c.st.Touch(key + entrySuffix) // best-effort recency bump
 		return true, nil
 	}
 
@@ -145,48 +144,44 @@ func (c *Cache) Sweep() (int, error) { return store.Sweep(c.st) }
 // an entry failing any gate is deleted, counted as a reject, and reported
 // as a miss — the caller retranslates, never serves it.
 func (c *Cache) GetVerified(key string, wantFP uint64, base uint32) ([]byte, bool) {
-	data, err := c.st.Get(key + entrySuffix)
-	if err != nil {
-		return nil, false
-	}
-	if c.verifyEntry(data, wantFP, base) == nil {
-		c.rejects.Add(1)
-		c.st.Delete(key + entrySuffix)
-		return nil, false
-	}
-	c.st.Touch(key + entrySuffix)
-	return data, true
+	data, cf := c.get(key, wantFP, base)
+	return data, cf != nil
 }
 
-// getVerified is GetVerified returning the parsed file (for grafting).
-func (c *Cache) getVerified(key string, wantFP uint64, base uint32) *codefile.File {
-	data, err := c.st.Get(key + entrySuffix)
-	if err != nil {
-		return nil
-	}
-	cf := c.verifyEntry(data, wantFP, base)
-	if cf == nil {
-		c.rejects.Add(1)
-		c.st.Delete(key + entrySuffix)
-	}
-	return cf
+// GetVerifiedAny is GetVerified for a caller that does not know which code
+// base the entry was translated for: the entry passes if it verifies at
+// any of bases, and is deleted and counted as a reject only if it fails
+// at every one. A library translation fails Verify at the user base by
+// design, so that failure alone is no damage.
+func (c *Cache) GetVerifiedAny(key string, wantFP uint64, bases ...uint32) ([]byte, bool) {
+	data, cf := c.get(key, wantFP, bases...)
+	return data, cf != nil
 }
 
-// verifyEntry runs a cached entry through the load gates. wantFP zero skips
-// the fingerprint recheck (key-only lookups, where the entry's own content
-// is the authority). Returns nil when any gate fails.
-func (c *Cache) verifyEntry(data []byte, wantFP uint64, base uint32) *codefile.File {
+// get is the one cache lookup: it reads key's entry and runs it through
+// the load gates (wantFP zero skips the fingerprint recheck, for key-only
+// lookups where the entry's own content is the authority), with Verify at
+// each of bases in turn. It returns the bytes and the parsed file at the
+// first base that passes and bumps the entry's recency; an entry that
+// passes at none is deleted and counted as a reject.
+func (c *Cache) get(key string, wantFP uint64, bases ...uint32) ([]byte, *codefile.File) {
+	name := key + entrySuffix
+	data, err := c.st.Get(name)
+	if err != nil {
+		return nil, nil
+	}
 	cf, err := codefile.Read(bytes.NewReader(data))
-	if err != nil || cf.Accel == nil {
-		return nil
+	if err == nil && cf.Accel != nil && (wantFP == 0 || cf.Fingerprint() == wantFP) {
+		for _, base := range bases {
+			if cf.Accel.Verify(cf, int(base)) == nil {
+				c.st.Touch(name) // best-effort recency bump
+				return data, cf
+			}
+		}
 	}
-	if wantFP != 0 && cf.Fingerprint() != wantFP {
-		return nil
-	}
-	if err := cf.Accel.Verify(cf, int(base)); err != nil {
-		return nil
-	}
-	return cf
+	c.rejects.Add(1)
+	c.st.Delete(name)
+	return nil, nil
 }
 
 // Put persists an accelerated codefile under key and applies the size cap.

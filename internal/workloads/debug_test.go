@@ -231,12 +231,12 @@ func TestDebugFallbacks(t *testing.T) {
 		}
 		t.Logf("%s: interludes=%d frac=%.1f%%\n", name, r.Interludes, 100*r.InterpFraction())
 		for _, s := range r.Report(rec).Sites {
-			cf := user
+			cf, space := user, interp.SpaceUser
 			if s.Space == "lib" {
-				cf = lib
+				cf, space = lib, interp.SpaceLib
 			}
 			pname := "?"
-			if pi := cf.ProcContaining(s.Addr); pi >= 0 {
+			if pi := r.ProcAt(space, s.Addr); pi >= 0 {
 				pname = cf.Procs[pi].Name
 			}
 			t.Logf("  %s %s@%d (%s) x%d: %s\n", s.Reason, s.Space, s.Addr, pname, s.Count,

@@ -300,8 +300,8 @@ func (s *Server) runJob(key string, j *jobState, f *codefile.File, opts core.Opt
 }
 
 // serveResult is the GET side: every served byte passes the full verify
-// gate (strict parse, AccelSection.Verify at the remembered code base) on
-// the way out of the store.
+// gate (strict parse, AccelSection.Verify at the remembered code base, or
+// at either base for a key with no job here) on the way out of the store.
 func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, key string) {
 	if !validKey(key) {
 		s.c.Fail(w, r, http.StatusBadRequest, "key", "key must be 16 lowercase hex digits")
@@ -327,21 +327,19 @@ func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, key string)
 	}
 	// Done, or a key this daemon never saw submitted (warm store from a
 	// previous life or a sibling daemon). The code base is remembered for
-	// known jobs; for unknown keys try both bases — Verify at the wrong
-	// base fails cleanly and the entry is NOT a hit at that base.
+	// known jobs; an unknown key's entry may be a translation for either
+	// space, so it is served at whichever base it verifies at, and only
+	// an entry that verifies at neither is damaged (rejected and deleted).
 	bases := []uint32{millicode.CodeBase(0), millicode.CodeBase(1)}
 	if j != nil {
 		bases = []uint32{st.base}
 	}
-	for _, base := range bases {
-		if data, ok := s.cfg.Cache.GetVerified(key, 0, base); ok {
-			s.served.Add(1)
-			s.c.Respond(w, r, http.StatusOK, data, "application/octet-stream")
-			return
-		}
+	if data, ok := s.cfg.Cache.GetVerifiedAny(key, 0, bases...); ok {
+		s.served.Add(1)
+		s.c.Respond(w, r, http.StatusOK, data, "application/octet-stream")
+		return
 	}
 	s.c.Fail(w, r, http.StatusNotFound, "absent", "no accelerated codefile under this key")
-	return
 }
 
 // validKey matches core.Options.TransKey output: 16 lowercase hex digits.

@@ -209,6 +209,10 @@ func TestTypedRejections(t *testing.T) {
 	if w := submit(body, "s3cret"); w.Code != http.StatusBadRequest {
 		t.Errorf("bad level: %d, want 400", w.Code)
 	}
+	body, _ = json.Marshal(SubmitRequest{Schema: SubmitSchema, Space: 2})
+	if w := submit(body, "s3cret"); w.Code != http.StatusBadRequest {
+		t.Errorf("space 2: %d, want 400", w.Code)
+	}
 	body, _ = json.Marshal(SubmitRequest{Schema: SubmitSchema, Codefile: []byte("junk")})
 	if w := submit(body, "s3cret"); w.Code != http.StatusBadRequest {
 		t.Errorf("bad codefile: %d, want 400", w.Code)
@@ -305,5 +309,57 @@ func TestServedBytesVerifyGated(t *testing.T) {
 	}
 	if got := c.Stats().Rejects; got == 0 {
 		t.Error("damaged entry not counted as a store reject")
+	}
+}
+
+// TestColdGetServesLibraryTranslation: a daemon with no job for a key — a
+// sibling sharing the store translated it, or the daemon restarted —
+// serves a library translation found there. The entry fails Verify at the
+// user base by design; that is no damage, so it is neither rejected nor
+// deleted. An entry damaged so it verifies at neither base still is.
+func TestColdGetServesLibraryTranslation(t *testing.T) {
+	backing, err := store.OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := tcache.New(backing)
+	f := buildFile(t, 5)
+	opts := core.Options{Level: codefile.LevelDefault, Space: 1}
+	key, err := opts.TransKey(f.Fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Accelerate(f, opts); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if _, err := f.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(Config{Cache: c, Workers: 2})
+	t.Cleanup(s.Close)
+	w := do(s, http.MethodGet, "/v1/xlate/"+key, "", nil)
+	if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want.Bytes()) {
+		t.Fatalf("cold GET of a library translation: %d (%d bytes), want 200 with the stored %d bytes",
+			w.Code, w.Body.Len(), want.Len())
+	}
+	if got := c.Stats().Rejects; got != 0 {
+		t.Errorf("rejects = %d after a valid cold GET, want 0", got)
+	}
+	if _, n := c.SizeBytes(); n != 1 {
+		t.Errorf("%d entries left after a valid cold GET, want 1", n)
+	}
+
+	bad := append([]byte(nil), want.Bytes()...)
+	bad[len(bad)/3] ^= 0x40
+	if err := backing.Put(key+".tns", bad); err != nil {
+		t.Fatal(err)
+	}
+	if w := do(s, http.MethodGet, "/v1/xlate/"+key, "", nil); w.Code != http.StatusNotFound {
+		t.Errorf("damaged entry: %d, want 404", w.Code)
+	}
+	if got := c.Stats().Rejects; got != 1 {
+		t.Errorf("rejects = %d after a damaged cold GET, want 1", got)
 	}
 }

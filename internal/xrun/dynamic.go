@@ -54,6 +54,7 @@ func RunDynamic(user, lib *codefile.File, threshold int, level codefile.AccelLev
 	workers int, budget int64) (*DynamicResult, error) {
 	res := &DynamicResult{}
 	m := interp.New(user, lib)
+	procOf := [2][]int32{user.ProcOf(), lib.ProcOf()}
 	counts := map[uint32]int{} // space<<16|entry -> calls
 	hot := map[string]bool{}
 
@@ -70,17 +71,20 @@ func RunDynamic(user, lib *codefile.File, threshold int, level codefile.AccelLev
 			f := m.CodeFile(m.Space)
 			key := uint32(m.Space)<<16 | uint32(m.P)
 			counts[key]++
-			if counts[key] == threshold {
-				if pi := f.ProcContaining(m.P); pi >= 0 {
-					name := f.Procs[pi].Name
-					if !hot[name] {
-						hot[name] = true
-						newlyHot = true
-						res.HotProcs = append(res.HotProcs, name)
-						// Charge translation of this procedure's extent.
-						res.TranslateCycles += float64(procWords(f, pi)) *
-							TranslateCyclesPerWord
+			if t := procOf[m.Space&1]; counts[key] == threshold && int(m.P) < len(t) && t[m.P] >= 0 {
+				pi := t[m.P]
+				name := f.Procs[pi].Name
+				if !hot[name] {
+					hot[name] = true
+					newlyHot = true
+					res.HotProcs = append(res.HotProcs, name)
+					// Charge translation of this procedure's extent: the
+					// words it owns from its entry on.
+					words := 0
+					for a := int(f.Procs[pi].Entry); a < len(t) && t[a] == pi; a++ {
+						words++
 					}
+					res.TranslateCycles += float64(words) * TranslateCyclesPerWord
 				}
 			}
 		}
@@ -126,17 +130,6 @@ func handOff(user, lib *codefile.File, m *interp.Machine, hot map[string]bool,
 	m.User, m.Lib = tu, tl
 	r.AdoptInterpreter(m)
 	return r, nil
-}
-
-func procWords(f *codefile.File, pi int) int {
-	entry := int(f.Procs[pi].Entry)
-	end := len(f.Code)
-	for _, p := range f.Procs {
-		if e := int(p.Entry); e > entry && e < end {
-			end = e
-		}
-	}
-	return end - entry
 }
 
 // StaticCost prices the static-translation strategy for comparison: full

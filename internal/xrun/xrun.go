@@ -473,6 +473,13 @@ func (r *Runner) SetDataWord(addr, v uint16) {
 	r.Int.Dirty.MarkWord(addr)
 }
 
+// ProcAt returns the PEP index of the procedure whose body holds TNS code
+// word addr in a space, or -1: the image's attribution table, which
+// codefile.File.ProcOf fills.
+func (r *Runner) ProcAt(space interp.Space, addr uint16) int {
+	return r.img.attr.ProcAt(uint8(space), addr)
+}
+
 // LoadedAccel returns the acceleration section the runner's image loaded
 // for a code space, or nil: no section, or one NewImage refused (failed
 // Verify, unknown backend, or a library dropped for a backend mismatch).
@@ -495,10 +502,7 @@ func (r *Runner) enterRISCIfMapped() bool {
 		return false
 	}
 	// Quarantined procedures stay interpreted for the rest of the run.
-	proc := -1
-	if f := r.Int.CodeFile(r.Int.Space); f != nil {
-		proc = f.ProcContaining(r.Int.P)
-	}
+	proc := r.ProcAt(r.Int.Space, r.Int.P)
 	if r.quarantined[quarKey(r.Int.Space, proc)] {
 		r.noEnter = obs.EscapeQuarantined
 		return false
