@@ -16,6 +16,11 @@
 //   - Run's budget counts executed instructions: a program that stops on
 //     its n-th instruction runs to its stop under Run(n), and Run(n-1)
 //     returns the runaway error before that instruction executes.
+//   - Every counted instruction is counted once: OnInstr is called once
+//     per Instrs increment, and count slots attached as CPU.Counts hold,
+//     slot by slot, what that hook saw (a trapping instruction and a
+//     gap word included), so they sum to Instrs after a BREAK, a trap,
+//     a budget stop and a run through a gap.
 //   - The simulator runs on the data memory it is given, and records
 //     every store that lands: a page of the TNS data region in Dirty, any
 //     address beyond the region in DirtyBeyond; a fenced store writes and
@@ -34,6 +39,7 @@ package backendtest
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tnsr/internal/backend"
@@ -296,6 +302,17 @@ func testExec(t *testing.T, be backend.Backend) {
 	if counted != s.Instrs {
 		t.Errorf("OnInstr calls = %d, Instrs = %d", counted, s.Instrs)
 	}
+	code := backend.FlatCode(enc.Code)
+	cs := be.Load(code).NewSim(make([]byte, 0x10000))
+	check := attachCounts(cs.Core(), code)
+	cs.ResumeAt(0)
+	if err := cs.Run(100_000); err != nil || cs.Core().BreakCode != 2 {
+		t.Fatalf("counted Run: err=%v BreakCode=%d, want the BREAK stop", err, cs.Core().BreakCode)
+	}
+	check(t)
+	if cs.Core().Instrs != s.Instrs {
+		t.Errorf("counted run: %d instructions, hook-only run %d", cs.Core().Instrs, s.Instrs)
+	}
 	if s.Cycles < s.Instrs {
 		t.Errorf("Cycles = %d < Instrs = %d", s.Cycles, s.Instrs)
 	}
@@ -427,14 +444,20 @@ func testTraps(t *testing.T, be backend.Backend) {
 			p := newProg()
 			p.ins = tc.ins
 			enc := p.encode(t, be)
-			sim := be.Load(backend.FlatCode(enc.Code)).NewSim(make([]byte, 0x10000))
+			code := backend.FlatCode(enc.Code)
+			sim := be.Load(code).NewSim(make([]byte, 0x10000))
 			s := sim.Core()
 			if tc.prep != nil {
 				tc.prep(s)
 			}
+			check := attachCounts(s, code)
 			sim.ResumeAt(0)
 			if err := sim.Run(1000); err != nil {
 				t.Fatalf("Run: %v", err)
+			}
+			check(t)
+			if want := int64(enc.Pos[tc.mark] + 1); s.Instrs != want {
+				t.Errorf("Instrs = %d, want %d: the trapping instruction counts", s.Instrs, want)
 			}
 			if !s.Stopped || s.Trap != tc.want {
 				t.Fatalf("trap = %d (stopped=%v), want %d", s.Trap, s.Stopped, tc.want)
@@ -459,10 +482,14 @@ func testBudget(t *testing.T, be backend.Backend) {
 	p.add(backend.Inst{Op: backend.ADDIU, Rt: t0, Rs: t0, Imm: 1})
 	p.add(backend.Inst{Op: backend.BREAK, Code: 2})
 	enc := p.encode(t, be)
+	code := backend.FlatCode(enc.Code)
 	run := func(budget int64) (*backend.CPU, error) {
-		sim := be.Load(backend.FlatCode(enc.Code)).NewSim(make([]byte, 0x10000))
+		sim := be.Load(code).NewSim(make([]byte, 0x10000))
+		check := attachCounts(sim.Core(), code)
 		sim.ResumeAt(0)
-		return sim.Core(), sim.Run(budget)
+		err := sim.Run(budget)
+		check(t)
+		return sim.Core(), err
 	}
 
 	s, err := run(0)
@@ -640,6 +667,18 @@ func testSparseCode(t *testing.T, be backend.Backend) {
 		t.Errorf("code window read %#x (gap) and %#x (segment), want 0 and %#x",
 			s.Reg[t1], s.Reg[t2], tail.Code[0])
 	}
+	// A jump into the gap executes gap words, each counted in the page
+	// of slots the gap pages after the first segment share.
+	gs := be.Load(sparse).NewSim(make([]byte, 0x1000))
+	check := attachCounts(gs.Core(), sparse)
+	gs.ResumeAt(gapWord)
+	if err := gs.Run(10_000); err != nil {
+		t.Fatalf("Run from the gap: %v", err)
+	}
+	check(t)
+	if gs.Core().Instrs == 0 {
+		t.Error("a run from the gap executed nothing")
+	}
 	if end := run(sparse, n); end.Trap != backend.TrapBadInstr || end.TrapPC != n {
 		t.Errorf("resume at the code length: trap %d at %d, want %d at %d",
 			end.Trap, end.TrapPC, backend.TrapBadInstr, n)
@@ -650,6 +689,32 @@ func testSparseCode(t *testing.T, be backend.Backend) {
 	load := backend.NewCodeImage(n, backend.Segment{Words: q.encode(t, be).Code})
 	if end := run(load, 0); end.Trap != backend.TrapAddress {
 		t.Errorf("code-window load at the code length: trap %d, want %d", end.Trap, backend.TrapAddress)
+	}
+}
+
+// attachCounts attaches count slots and a per-step hook to s, a fresh
+// simulator over code. The returned check requires the slots to hold
+// exactly what the hook saw, slot by slot, and to sum to Instrs.
+func attachCounts(s *backend.CPU, code *backend.CodeImage) (check func(t *testing.T)) {
+	s.Counts = make([]int64, code.Slots())
+	want := make([]int64, code.Slots())
+	s.OnInstr = func(pc uint32) { want[code.Slot(pc)]++ }
+	return func(t *testing.T) {
+		t.Helper()
+		var sum int64
+		for _, n := range s.Counts {
+			sum += n
+		}
+		if sum != s.Instrs {
+			t.Errorf("count slots sum to %d, Instrs = %d", sum, s.Instrs)
+		}
+		if !slices.Equal(s.Counts, want) {
+			i := 0
+			for s.Counts[i] == want[i] {
+				i++
+			}
+			t.Errorf("count slot %d holds %d, the per-step hook counted %d", i, s.Counts[i], want[i])
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package backend
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // The code space is paged for storage: a run populates only the millicode,
 // the user translation and the library translation, which sit far apart
@@ -23,22 +26,35 @@ type Segment struct {
 // reads as 0; PCs at or beyond Len are outside the code space (a simulator
 // traps TrapBadInstr there, and a code-window load TrapAddress). A
 // CodeImage is shared read-only by every program decoded from it.
+//
+// It also numbers the count slots a simulator with CPU.Counts attached
+// counts each executed word in (Slot). Every stored page has CodePageWords
+// slots of its own, and the gap pages that follow one segment, up to the
+// next segment's base, share one page of slots: a gap word counts in the
+// slot of the same offset in that shared page. So the slots grow with the
+// stored words and the segment count, never with the length, and a gap
+// word's slot stands only for gap words that follow the same segment.
 type CodeImage struct {
-	pages []*[CodePageWords]uint32 // nil: a page no segment touches
-	n     uint32
+	pages     []*[CodePageWords]uint32 // nil: a page no segment touches
+	slot      []uint32                 // per page: the slot of its first word
+	slotPages []uint32                 // per page of slots: the first code page counted there
+	n         uint32
 }
 
 // NewCodeImage builds a code space of n words holding segs. A segment
-// reaching past n is a caller bug and panics.
+// reaching past n is a caller bug and panics. An empty segment stores
+// nothing but still ends the gap of the segment before it.
 func NewCodeImage(n int, segs ...Segment) *CodeImage {
 	c := &CodeImage{
 		pages: make([]*[CodePageWords]uint32, (n+CodePageWords-1)>>codePageShift),
 		n:     uint32(n),
 	}
+	bases := make([]uint32, 0, len(segs))
 	for _, s := range segs {
 		if end := int(s.Base) + len(s.Words); end > n {
 			panic(fmt.Sprintf("backend: segment [%d,%d) outside a %d-word code space", s.Base, end, n))
 		}
+		bases = append(bases, s.Base)
 		for i, w := range s.Words {
 			at := s.Base + uint32(i)
 			pg := c.pages[at>>codePageShift]
@@ -48,6 +64,23 @@ func NewCodeImage(n int, segs ...Segment) *CodeImage {
 			}
 			pg[at&codePageMask] = w
 		}
+	}
+	slices.Sort(bases)
+	c.slot = make([]uint32, len(c.pages))
+	gap := -1 // the slot page the current gap shares, once it has one
+	for i, pg := range c.pages {
+		for len(bases) > 0 && bases[0] <= uint32(i)<<codePageShift {
+			bases, gap = bases[1:], -1
+		}
+		if pg == nil && gap >= 0 {
+			c.slot[i] = uint32(gap) << codePageShift
+			continue
+		}
+		if pg == nil {
+			gap = len(c.slotPages)
+		}
+		c.slot[i] = uint32(len(c.slotPages)) << codePageShift
+		c.slotPages = append(c.slotPages, uint32(i))
 	}
 	return c
 }
@@ -72,21 +105,46 @@ func (c *CodeImage) Word(pc uint32) uint32 {
 	return 0
 }
 
+// Slots returns the number of count slots: the length a CPU.Counts slice
+// over a program of this image needs.
+func (c *CodeImage) Slots() int { return len(c.slotPages) << codePageShift }
+
+// Slot returns the count slot of code word pc, which must be below Len.
+func (c *CodeImage) Slot(pc uint32) uint32 {
+	return c.slot[pc>>codePageShift] + pc&codePageMask
+}
+
+// SlotPages returns, for each page of CodePageWords count slots in order,
+// the code page whose words count there: slot k*CodePageWords+j counts
+// word SlotPages()[k]*CodePageWords+j, or, for a page of slots that gap
+// pages share, the word at offset j of any of them. The slice is the
+// image's own; callers must not modify it.
+func (c *CodeImage) SlotPages() []uint32 { return c.slotPages }
+
 // Decoded is a code image decoded once into a target's instruction form
-// T. Each stored page is decoded word by word; every page no segment
-// touches shares one page of the decoded zero word, so a gap executes
-// exactly as word 0 does. It is immutable: every simulator of the image
-// reads it concurrently.
+// T, each word with its count slot. Each stored page is decoded word by
+// word; every page no segment touches shares one page of the decoded zero
+// word, so a gap executes exactly as word 0 does. It is immutable: every
+// simulator of the image reads it concurrently.
 type Decoded[T any] struct {
-	pages []*[CodePageWords]T
+	pages []decodedPage[T]
 	n     uint32
+}
+
+// decodedPage is one page of decoded words and the count slot of its
+// first word; the page entry carries the slot so a step finds both with
+// one index.
+type decodedPage[T any] struct {
+	ins  *[CodePageWords]T
+	slot uint32
 }
 
 // DecodeCode decodes the populated words of c with decode.
 func DecodeCode[T any](c *CodeImage, decode func(w uint32) T) Decoded[T] {
-	d := Decoded[T]{pages: make([]*[CodePageWords]T, len(c.pages)), n: c.n}
+	d := Decoded[T]{pages: make([]decodedPage[T], len(c.pages)), n: c.n}
 	var zero *[CodePageWords]T
 	for i, raw := range c.pages {
+		d.pages[i].slot = c.slot[i]
 		if raw == nil {
 			if zero == nil {
 				zero = new([CodePageWords]T)
@@ -95,14 +153,14 @@ func DecodeCode[T any](c *CodeImage, decode func(w uint32) T) Decoded[T] {
 					zero[j] = z
 				}
 			}
-			d.pages[i] = zero
+			d.pages[i].ins = zero
 			continue
 		}
 		pg := new([CodePageWords]T)
 		for j, w := range raw {
 			pg[j] = decode(w)
 		}
-		d.pages[i] = pg
+		d.pages[i].ins = pg
 	}
 	return d
 }
@@ -110,7 +168,9 @@ func DecodeCode[T any](c *CodeImage, decode func(w uint32) T) Decoded[T] {
 // Len returns the size of the decoded code space in words.
 func (d *Decoded[T]) Len() int { return int(d.n) }
 
-// At returns the decoded instruction at pc, which must be below Len.
-func (d *Decoded[T]) At(pc uint32) *T {
-	return &d.pages[pc>>codePageShift][pc&codePageMask]
+// At returns the decoded instruction at pc, which must be below Len, and
+// its count slot (CodeImage.Slot).
+func (d *Decoded[T]) At(pc uint32) (*T, uint32) {
+	pg := &d.pages[pc>>codePageShift]
+	return &pg.ins[pc&codePageMask], pg.slot + pc&codePageMask
 }

@@ -77,9 +77,18 @@ type CPU struct {
 	// compare it with the interpreter's trace.
 	StoreTrace func(addr uint32, value uint16)
 
+	// Counts, when non-nil, counts every instruction the step counts in
+	// Instrs, in its word's count slot (CodeImage.Slot), so the counts
+	// sum to the instructions executed while it is attached; it must
+	// hold the code image's Slots() slots. The mixed-mode runtime
+	// attaches it to observe a run. Nil costs one comparison per step,
+	// and attached it costs an increment: no call.
+	Counts []int64
+
 	// OnInstr, when non-nil, is called with the PC of every counted
 	// instruction (after Instrs is incremented, so hook calls equal the
-	// Instrs total exactly). Nil costs one comparison per step.
+	// Instrs total exactly). It is the per-step reference the tests hold
+	// Counts to; nothing else sets it. Nil costs one comparison per step.
 	OnInstr func(pc uint32)
 
 	// ProtectedLo/ProtectedHi, when Hi > Lo, fence [Lo, Hi) of data

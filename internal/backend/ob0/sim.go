@@ -82,11 +82,14 @@ func (s *Sim) step() {
 		s.RaiseTrap(backend.TrapBadInstr)
 		return
 	}
-	in := s.ins.At(pc)
 	s.Cycles++
 	s.Instrs++
 	if s.OnInstr != nil {
 		s.OnInstr(pc)
+	}
+	in, slot := s.ins.At(pc)
+	if s.Counts != nil {
+		s.Counts[slot]++
 	}
 
 	npc := pc + 1

@@ -24,7 +24,9 @@ func schedule(f *fn) schedStats {
 		}
 	}
 
-	var out []rinst
+	// Scheduling only drops nops, so out never outgrows f.ins; each block
+	// is built in one reused buffer and copied out when it is flushed.
+	out := make([]rinst, 0, len(f.ins))
 	remap := make([]int32, len(f.ins)+1)
 	flushBlock := func(start int, blk []rinst) []rinst {
 		blk = fillDelaySlot(blk, &st)
@@ -42,7 +44,7 @@ func schedule(f *fn) schedStats {
 		r := f.ins[i]
 		if (labeled[i] || r.isExact) && len(blk) > 0 {
 			out = flushBlock(blockStart, blk)
-			blk, blockStart = nil, i
+			blk, blockStart = blk[:0], i
 		}
 		if len(blk) == 0 {
 			blockStart = i
@@ -56,7 +58,7 @@ func schedule(f *fn) schedStats {
 				i++
 			}
 			out = flushBlock(blockStart, blk)
-			blk, blockStart = nil, i+1
+			blk, blockStart = blk[:0], i+1
 		}
 	}
 	if len(blk) > 0 {
@@ -142,7 +144,7 @@ func (r rinst) toInstr() risc.Instr {
 }
 
 // fillDelaySlot replaces [..., I, B, nop] with [..., B, I] when I is
-// independent of the branch.
+// independent of the branch, in place.
 func fillDelaySlot(blk []rinst, st *schedStats) []rinst {
 	n := len(blk)
 	if n < 3 {
@@ -184,13 +186,12 @@ func fillDelaySlot(blk []rinst, st *schedStats) []rinst {
 		}
 	}
 	// Perform the move: drop the nop, swap candidate behind the branch.
-	nb := append([]rinst{}, blk[:n-3]...)
-	nb = append(nb, b, cand)
+	blk[n-3], blk[n-2] = b, cand
 	st.filledSlots++
 	if cand.op.IsStore() && cand.tnsAddr != b.tnsAddr {
 		st.welded++
 	}
-	return nb
+	return blk[:n-1]
 }
 
 // avoidLoadUse breaks load-use pairs by hoisting a later independent

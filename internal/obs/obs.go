@@ -8,9 +8,13 @@
 //
 // The overhead contract: every producer holds a plain *Recorder field that
 // is nil by default and checks it before each event, so an unobserved run
-// pays one nil-compare per hook site and nothing else. A Recorder is not
-// safe for concurrent use; attach one recorder per runner (the translation
-// phase timings are recorded only from the coordinating goroutine).
+// pays one nil-compare per hook site and nothing else. Simulated RISC
+// instructions are the exception that keeps observation cheap: the
+// simulator counts them per code word in a slice the runner attaches, with
+// no call, and the runner folds the counts in (AddRISC) when its run
+// returns. A Recorder is not safe for concurrent use; attach one recorder
+// per runner (the translation phase timings are recorded only from the
+// coordinating goroutine).
 //
 // obs depends only on codefile (for attribution tables); the execution
 // packages depend on obs, never the reverse.
@@ -104,8 +108,10 @@ type procCount struct {
 	risc   int64
 }
 
-// Recorder is the event sink. The exported counters may be read at any
-// time; writing is reserved to the event methods.
+// Recorder is the event sink. The exported counters are complete whenever
+// the run feeding them returns (xrun's Run and Continue fold the RISC
+// counts in before they return); writing is reserved to the event
+// methods.
 type Recorder struct {
 	// Mode residency: instructions executed per mode while attached.
 	InterpInstrs int64
@@ -275,11 +281,26 @@ func (r *Recorder) InterpStep(space uint8, p uint16) {
 	}
 }
 
-// RISCStep records one simulated RISC instruction at code word index pc.
+// RISCStep records one simulated RISC instruction at code word index pc:
+// the per-step reference AddRISC is tested against.
 func (r *Recorder) RISCStep(pc uint32) {
 	r.RISCInstrs++
 	if id := r.attr.riscProc(pc); id >= 0 {
 		r.counts[id].risc++
+	}
+}
+
+// AddRISC records counts[j] simulated RISC instructions at code word
+// index pc+j for every j: the sum of that many RISCStep(pc+j) calls.
+func (r *Recorder) AddRISC(pc uint32, counts []int64) {
+	for j, c := range counts {
+		if c == 0 {
+			continue
+		}
+		r.RISCInstrs += c
+		if id := r.attr.riscProc(pc + uint32(j)); id >= 0 {
+			r.counts[id].risc += c
+		}
 	}
 }
 

@@ -210,11 +210,14 @@ func (s *Sim) step() {
 		s.ICacheMisses++
 		s.Cycles += int64(s.cfg.MissPenalty)
 	}
-	in := s.ins.At(pc)
 	s.Cycles++
 	s.Instrs++
 	if s.OnInstr != nil {
 		s.OnInstr(pc)
+	}
+	in, slot := s.ins.At(pc)
+	if s.Counts != nil {
+		s.Counts[slot]++
 	}
 
 	// Load-use interlock: one stall cycle if this instruction reads the

@@ -3,9 +3,11 @@ package xrun
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
+	"tnsr/internal/obs"
 	"tnsr/internal/tns"
 )
 
@@ -92,21 +94,30 @@ type RecycleChecks struct {
 // NewRunner in this test binary until t ends: each simulator memory
 // NewRunner takes must be all zero before NewRunner writes the runtime
 // tables and the data image into it, exactly like a freshly allocated
-// one. The first violation fails t. It also counts every Release.
+// one, and so must every count slot it carries. The first violation fails
+// t. It also counts every Release.
 func CheckRecycled(t testing.TB) *RecycleChecks {
 	c := &RecycleChecks{}
-	recycleHook = func(mem []byte, recycled bool) {
-		at := firstNonzero(mem)
+	recycleHook = func(mem *simMem, recycled bool) {
+		at := firstNonzero(mem.data[:])
+		slot := slices.IndexFunc(mem.counts[:cap(mem.counts)], func(n int64) bool { return n != 0 })
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.Taken++
 		if recycled {
 			c.Recycled++
 		}
-		if at >= 0 && !c.failed {
+		if c.failed {
+			return
+		}
+		if at >= 0 {
 			c.failed = true
 			t.Errorf("NewRunner took a memory (recycled %v) holding %#02x at byte %#x",
-				recycled, mem[at], at)
+				recycled, mem.data[at], at)
+		} else if slot >= 0 {
+			c.failed = true
+			t.Errorf("NewRunner took a memory (recycled %v) whose count slot %d holds %d",
+				recycled, slot, mem.counts[:cap(mem.counts)][slot])
 		}
 	}
 	releaseHook = func() {
@@ -134,4 +145,56 @@ func firstNonzero(mem []byte) int {
 		}
 	}
 	return -1
+}
+
+// Observed lists the runners Observe attached a recorder to while a
+// TraceObserve hook was installed, in Observe order.
+type Observed struct {
+	mu   sync.Mutex
+	runs []ObservedRun
+}
+
+// ObservedRun is one observed runner and its recorder.
+type ObservedRun struct {
+	R   *Runner
+	Rec *obs.Recorder
+}
+
+// Runs returns the runners observed so far.
+func (o *Observed) Runs() []ObservedRun {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return slices.Clone(o.runs)
+}
+
+// ObserveEachStep observes r with rec the way Observe does, but through
+// the per-step reference (DESIGN.md §9) instead of the count slots: the
+// simulator calls rec.RISCStep for every instruction it counts and Run has
+// nothing to fold, which is how the RISC residency was recorded before
+// the count slots.
+func ObserveEachStep(r *Runner, rec *obs.Recorder) {
+	r.Observe(rec)
+	stepEach(r, rec)
+}
+
+func stepEach(r *Runner, rec *obs.Recorder) {
+	r.Sim.Counts = nil
+	r.Sim.OnInstr = rec.RISCStep
+}
+
+// TraceObserve installs a hook on every Observe in this test binary until
+// t ends that records the observed runner and, with eachStep set, puts it
+// on the per-step reference as ObserveEachStep does.
+func TraceObserve(t testing.TB, eachStep bool) *Observed {
+	o := &Observed{}
+	observeHook = func(r *Runner, rec *obs.Recorder) {
+		if eachStep {
+			stepEach(r, rec)
+		}
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		o.runs = append(o.runs, ObservedRun{r, rec})
+	}
+	t.Cleanup(func() { observeHook = nil })
+	return o
 }

@@ -73,9 +73,10 @@ type Runner struct {
 	BPAddr    uint16
 
 	// Obs, when attached via Observe, receives every mode transition with
-	// a typed escape reason, plus PMap probe results. Nil costs one
-	// comparison at each transition site (the per-instruction hooks live
-	// in interp.Machine and risc.Sim).
+	// a typed escape reason, plus PMap probe results, and the RISC
+	// instructions the simulator counted, folded in whenever Run returns.
+	// Nil costs one comparison at each transition site (the
+	// per-instruction hooks live in interp.Machine and backend.CPU).
 	Obs *obs.Recorder
 
 	// PGO, when attached via Capture, receives the dynamic RP at every
@@ -117,8 +118,11 @@ type Runner struct {
 	sim     backend.Sim
 	noEnter obs.EscapeReason // why the last enterRISCIfMapped refused
 
-	// written records every TNS data page of r.Sim.Mem a page set has
-	// named since NewRunner: the pages Release must clear.
+	// mem holds r.Sim.Mem and the count slots Observe attaches, until
+	// Release hands both back; written records every TNS data page of
+	// r.Sim.Mem a page set has named since NewRunner: the pages Release
+	// must clear.
+	mem     *simMem
 	written tns.PageSet
 }
 
@@ -220,15 +224,20 @@ func NewImage(user, lib *codefile.File, cfg risc.Config) (*Image, error) {
 
 	// The code space runs to the end of the last loaded section (to the
 	// user base when nothing is loaded); only millicode and the loaded
-	// sections are stored.
+	// sections are stored. The user segment is there even when empty: it
+	// ends millicode's gap, so the gap words that share a count slot are
+	// all attributed alike, to millicode below the user base and to
+	// (other) above it.
 	milli, _ := img.be.Millicode()
-	segs := []backend.Segment{{Words: milli}}
+	segs := []backend.Segment{{Words: milli}, {Base: uint32(bases[0])}}
 	codeLen := bases[0]
-	for i, a := range img.accel {
-		if a != nil {
-			segs = append(segs, backend.Segment{Base: uint32(bases[i]), Words: a.RISC})
-			codeLen = bases[i] + len(a.RISC)
-		}
+	if a := img.accel[0]; a != nil {
+		segs[1].Words = a.RISC
+		codeLen += len(a.RISC)
+	}
+	if a := img.accel[1]; a != nil {
+		segs = append(segs, backend.Segment{Base: uint32(bases[1]), Words: a.RISC})
+		codeLen = bases[1] + len(a.RISC)
 	}
 	img.prog = img.be.Load(backend.NewCodeImage(codeLen, segs...))
 
@@ -293,12 +302,13 @@ func (img *Image) NewRunner() *Runner {
 		DegradedReason:      img.degradedReason}
 	mem, recycled := memPool.Get().(*simMem)
 	if !recycled {
-		mem = new(simMem)
+		mem = &simMem{data: new([millicode.MemBytes]byte)}
 	}
 	if recycleHook != nil {
-		recycleHook(mem[:], recycled)
+		recycleHook(mem, recycled)
 	}
-	r.sim = img.prog.NewSim(mem[:])
+	r.mem = mem
+	r.sim = img.prog.NewSim(mem.data[:])
 	r.Sim = r.sim.Core()
 	r.Int = interp.New(img.user, img.lib)
 	r.Sim.OnSyscall = r.onSyscall
@@ -316,10 +326,24 @@ func (img *Image) NewRunner() *Runner {
 	return r
 }
 
-// simMem is one simulator data memory in the runtime layout: the TNS data
+// simMem is one simulator data memory in the runtime layout (the TNS data
 // region, then the runtime tables from millicode.PtrArea, then memory
-// that correct code never touches.
-type simMem [millicode.MemBytes]byte
+// that correct code never touches), and the count slots an observed run
+// counts its RISC instructions in. Both are all zero while the memory is
+// in the pool: Release clears the pages a run wrote, and every Run folds
+// the counts into its recorder and zeroes them before it returns.
+type simMem struct {
+	data   *[millicode.MemBytes]byte // exactly 1 MiB: no size-class rounding
+	counts []int64                   // grown to the largest image observed on this memory
+}
+
+// slots returns n zeroed count slots.
+func (m *simMem) slots(n int) []int64 {
+	if cap(m.counts) < n {
+		m.counts = make([]int64, n)
+	}
+	return m.counts[:n]
+}
 
 // memPool holds all-zero simulator memories for NewRunner. Release puts a
 // runner's memory back once it has cleared what the run wrote; the pool's
@@ -329,46 +353,49 @@ var memPool sync.Pool
 
 // recycleHook, when non-nil, sees every memory NewRunner takes before it
 // writes to it, and whether it came from the pool; releaseHook, when
-// non-nil, runs at every Release that ends a runner's use of its memory.
-// Tests install the recycled-memory check and the release count here
-// (DESIGN.md §6); in production both are nil and cost one comparison per
-// runner.
+// non-nil, runs at every Release that ends a runner's use of its memory;
+// observeHook, when non-nil, runs at the end of every Observe. Tests
+// install the recycled-memory check, the release count and the per-step
+// reference here (DESIGN.md §6 and §9); in production all three are nil
+// and cost one comparison per runner.
 var (
-	recycleHook func(mem []byte, recycled bool)
+	recycleHook func(mem *simMem, recycled bool)
 	releaseHook func()
+	observeHook func(r *Runner, rec *obs.Recorder)
 )
 
-// Release ends the runner's use of its simulator data memory and hands it
-// back for a later NewRunner: it clears every TNS data page the run
-// wrote, which the page sets recorded, and the runtime tables. A memory
-// that a store reached beyond the TNS data region (DirtyBeyond, damaged
-// code only) holds a write no page set recorded, and is left to the
-// garbage collector instead.
+// Release ends the runner's use of its simulator data memory and count
+// slots and hands them back for a later NewRunner: it clears every TNS
+// data page the run wrote, which the page sets recorded, and the runtime
+// tables; the count slots are already zero, because Run folded them. A
+// memory that a store reached beyond the TNS data region (DirtyBeyond,
+// damaged code only) holds a write no page set recorded, and is left to
+// the garbage collector instead.
 //
 // Call it only once the runner's run returned normally and nothing reads
 // its simulator memory any more; a runner abandoned by a panic, or never
 // released, just leaves its memory to the garbage collector. Release
 // keeps the runner's results (console, exit state, counters, Report) but
-// sets Sim.Mem to nil, so running the runner or reading its simulator
-// memory afterwards panics instead of reading another runner's data. A
-// second Release does nothing.
+// sets Sim.Mem and Sim.Counts to nil, so running the runner or reading its
+// simulator memory afterwards panics instead of reading another runner's
+// data. A second Release does nothing.
 func (r *Runner) Release() {
-	if r.Sim.Mem == nil {
+	mem := r.mem
+	if mem == nil {
 		return
 	}
 	if releaseHook != nil {
 		releaseHook()
 	}
-	mem := (*simMem)(r.Sim.Mem)
-	r.Sim.Mem = nil
+	r.mem, r.Sim.Mem, r.Sim.Counts = nil, nil, nil
 	if r.Sim.DirtyBeyond {
 		return
 	}
 	r.written.Union(&r.Sim.Dirty)
 	r.written.ForEach(func(pg int) {
-		clear(mem[pg*2*tns.PageWords : (pg+1)*2*tns.PageWords])
+		clear(mem.data[pg*2*tns.PageWords : (pg+1)*2*tns.PageWords])
 	})
-	clear(mem[millicode.PtrArea : millicode.PtrArea+len(r.img.tables)])
+	clear(mem.data[millicode.PtrArea : millicode.PtrArea+len(r.img.tables)])
 	memPool.Put(mem)
 }
 
@@ -595,11 +622,13 @@ func (r *Runner) loadIntFromSim(p uint16) {
 }
 
 // Run executes until the program halts or the instruction budget (summed
-// over both modes) is exhausted.
+// over both modes) is exhausted. An attached recorder is complete when it
+// returns.
 func (r *Runner) Run(maxInstrs int64) error {
 	if r.Sim.Mem == nil {
 		panic("xrun: Run after Release")
 	}
+	defer r.foldCounts()
 	// Start in RISC mode if the main entry is register-exact.
 	if !r.inRISC {
 		if !r.enterRISCIfMapped() {
@@ -930,16 +959,34 @@ func (r *Runner) AdoptInterpreter(m *interp.Machine) {
 	r.inRISC = false
 }
 
-// Observe attaches rec to every layer of the runner: the interpreter and
-// simulator per-instruction hooks, the mode-transition sites, and the
-// image's attribution tables for both code spaces (built once with the
-// image, describing the sections it actually loaded). Call it once,
-// before Run.
+// Observe attaches rec to every layer of the runner: the interpreter's
+// per-instruction hook, the simulator's count slots (a slice recycled with
+// the runner's memory, folded into rec whenever Run returns), the
+// mode-transition sites, and the image's attribution tables for both code
+// spaces (built once with the image, describing the sections it actually
+// loaded). Call it once, before Run.
 func (r *Runner) Observe(rec *obs.Recorder) {
 	rec.Attach(r.img.attr)
 	r.Obs = rec
 	r.Int.Obs = rec
-	r.Sim.OnInstr = rec.RISCStep
+	r.Sim.Counts = r.mem.slots(r.img.prog.Code().Slots())
+	if observeHook != nil {
+		observeHook(r, rec)
+	}
+}
+
+// foldCounts adds the RISC instructions the simulator counted since the
+// last fold to the recorder, each page of slots at the code words it
+// counts, and zeroes the slots for the next.
+func (r *Runner) foldCounts() {
+	c := r.Sim.Counts
+	if c == nil {
+		return
+	}
+	for k, pg := range r.img.prog.Code().SlotPages() {
+		r.Obs.AddRISC(pg*backend.CodePageWords, c[k*backend.CodePageWords:(k+1)*backend.CodePageWords])
+	}
+	clear(c)
 }
 
 // Capture attaches a PGO capture to the runner and its interpreter, and
