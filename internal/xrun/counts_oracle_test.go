@@ -144,7 +144,7 @@ func TestCountsMatchStepsScenarioCorpus(t *testing.T) {
 // operator on both, each way.
 func TestCountsMatchStepsChaos(t *testing.T) {
 	const perOp = 3
-	var ran, gapWords int64
+	ran := 0
 	for _, name := range []string{"dhry16", "et1"} {
 		ref, err := chaos.NewReference(name, chaos.DefaultIterations, chaos.DefaultBudget)
 		if err != nil {
@@ -164,13 +164,8 @@ func TestCountsMatchStepsChaos(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			stored := storedPages(img)
 			t.Run(fmt.Sprintf("%s/%d-%s-%s", name, i, op, mu.Target), func(t *testing.T) {
-				runBothWays(t, img, chaos.DefaultBudget, func(pc uint32) {
-					if !stored[pc/backend.CodePageWords] {
-						gapWords++
-					}
-				})
+				runBothWays(t, img, chaos.DefaultBudget, nil)
 				ran++
 			})
 		}
@@ -178,7 +173,7 @@ func TestCountsMatchStepsChaos(t *testing.T) {
 	if ran == 0 {
 		t.Error("no mutant ran")
 	}
-	t.Logf("%d mutants ran both ways, executing %d gap words", ran, gapWords)
+	t.Logf("%d mutants ran both ways", ran)
 }
 
 // TestCountsMatchStepsGapWords damages et1's main translation into a jump to
