@@ -84,6 +84,8 @@ func (s *Sim) step() {
 	}
 	s.Cycles++
 	s.Instrs++
+	// The test-only hook runs before the fetch, so nothing fetched is
+	// live across its call.
 	if s.OnInstr != nil {
 		s.OnInstr(pc)
 	}

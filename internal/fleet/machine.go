@@ -108,11 +108,11 @@ func runMachine(spec *machineSpec, slots chan struct{}) (res *machineResult) {
 
 	// The slot gate bounds how many runners are resident at once, and so
 	// how many simulator memories are in use. A runner over a shared image
-	// holds about 1.36 MB (the 1 MiB simulator memory with the 18 KB of
-	// count slots it carries, 2,304 on et1, the interpreter's 128 KiB data
-	// space and the R3000's cache tags) but allocates only about 0.3 MB of
-	// it when it takes a memory and count slots an earlier machine
-	// released (BenchmarkRunnerNew "recycled" against "shared"). Every
+	// holds about 1.36 MB (the 1 MiB simulator memory and its count
+	// slots, 18 KB on et1, the interpreter's 128 KiB data space and the
+	// R3000's cache tags) but allocates only about 0.3 MB of it when it
+	// takes a memory and count slots an earlier machine released
+	// (BenchmarkRunnerNew "recycled" against "shared"). Every
 	// machine's goroutine exists concurrently — arrival schedules are in
 	// simulated time, so queueing behavior is unaffected by when the slot
 	// opens.
