@@ -27,7 +27,6 @@
 package chaos
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -105,7 +104,7 @@ func (o Op) String() string {
 type Outcome int
 
 const (
-	// Rejected: codefile.Read returned a typed *ErrCorrupt.
+	// Rejected: codefile.Parse returned a typed *ErrCorrupt.
 	Rejected Outcome = iota
 	// RanIdentical: the mutant loaded (possibly with its acceleration
 	// dropped) and ran to the pristine interpreter's outcome.
@@ -235,7 +234,7 @@ func (ref *Reference) Mutate(rng *rand.Rand, op Op) (*Mutant, error) {
 		codefile.FixChecksum(data, span)
 	case OpPMapNonMonotonic, OpPMapLengthSkew, OpEMapTargetSkew,
 		OpEMapCountSkew, OpRPSkew, OpFallbackSkew:
-		f, err := codefile.Read(bytes.NewReader(data))
+		f, err := codefile.Parse(data)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: pristine %s/%s failed to parse: %w",
 				ref.Name, mu.Target, err)
@@ -356,7 +355,7 @@ func (ref *Reference) Check(mu *Mutant, budget int64) (outcome Outcome, err erro
 	if userRaw == nil {
 		userRaw = ref.UserRaw
 	}
-	user, uerr := codefile.Read(bytes.NewReader(userRaw))
+	user, uerr := codefile.Parse(userRaw)
 	if uerr != nil {
 		if mu.User == nil {
 			return 0, fmt.Errorf("pristine user image rejected: %v", uerr)
@@ -373,7 +372,7 @@ func (ref *Reference) Check(mu *Mutant, budget int64) (outcome Outcome, err erro
 			libRaw = ref.LibRaw
 		}
 		var lerr error
-		lib, lerr = codefile.Read(bytes.NewReader(libRaw))
+		lib, lerr = codefile.Parse(libRaw)
 		if lerr != nil {
 			if mu.Lib == nil {
 				return 0, fmt.Errorf("pristine lib image rejected: %v", lerr)

@@ -10,14 +10,12 @@
 package codefile
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -266,103 +264,142 @@ const FormatVersion = version
 // Marshal serializes the codefile (always at the current version) and
 // returns the byte image together with its section layout. WriteTo is the
 // io.WriterTo convenience over it; the chaos harness uses the spans to aim
-// mutations at individual sections.
+// mutations at individual sections. The image is appended into one buffer
+// of exactly its length (encodedLen).
 func (f *File) Marshal() ([]byte, []SectionSpan) {
-	var buf bytes.Buffer
-	p := func(v any) { binary.Write(&buf, binary.BigEndian, v) }
-	var spans []SectionSpan
+	b := make([]byte, 0, f.encodedLen())
+	spans := make([]SectionSpan, 0, NumSections)
 	start := 0
 	// seal closes the current section: append the CRC-32 of its payload
 	// and record the span (payload + checksum).
 	seal := func(id SectionID) {
-		p(crc32.ChecksumIEEE(buf.Bytes()[start:]))
-		spans = append(spans, SectionSpan{ID: id, Start: start, End: buf.Len()})
-		start = buf.Len()
+		b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
+		spans = append(spans, SectionSpan{ID: id, Start: start, End: len(b)})
+		start = len(b)
+	}
+	u8 := func(v uint8) { b = append(b, v) }
+	u16 := func(v uint16) { b = binary.BigEndian.AppendUint16(b, v) }
+	u32 := func(v uint32) { b = binary.BigEndian.AppendUint32(b, v) }
+	str := func(s string) {
+		u16(uint16(len(s)))
+		b = append(b, s...)
 	}
 
-	p(uint32(magic))
-	p(uint16(version))
-	writeString(&buf, f.Name)
+	u32(magic)
+	u16(version)
+	str(f.Name)
 	seal(SecHeader)
 
-	p(uint32(len(f.Code)))
-	p(f.Code)
+	u32(uint32(len(f.Code)))
+	for _, w := range f.Code {
+		u16(w)
+	}
 	seal(SecCode)
 
-	p(uint32(len(f.Procs)))
+	u32(uint32(len(f.Procs)))
 	for i := range f.Procs {
-		writeString(&buf, f.Procs[i].Name)
-		p(f.Procs[i].Entry)
-		p(f.Procs[i].ResultWords)
-		p(f.Procs[i].ArgWords)
+		str(f.Procs[i].Name)
+		u16(f.Procs[i].Entry)
+		u8(uint8(f.Procs[i].ResultWords))
+		u8(f.Procs[i].ArgWords)
 	}
-	p(f.MainPEP)
-	p(f.GlobalWords)
-	p(uint32(len(f.Data)))
+	u16(f.MainPEP)
+	u16(f.GlobalWords)
+	u32(uint32(len(f.Data)))
 	for i := range f.Data {
-		p(f.Data[i].Addr)
-		p(uint32(len(f.Data[i].Words)))
-		p(f.Data[i].Words)
+		u16(f.Data[i].Addr)
+		u32(uint32(len(f.Data[i].Words)))
+		for _, w := range f.Data[i].Words {
+			u16(w)
+		}
 	}
-	p(uint32(len(f.Statements)))
+	u32(uint32(len(f.Statements)))
 	for i := range f.Statements {
-		p(f.Statements[i].Addr)
-		p(f.Statements[i].Line)
+		u16(f.Statements[i].Addr)
+		u32(uint32(f.Statements[i].Line))
 	}
-	p(uint32(len(f.Symbols)))
+	u32(uint32(len(f.Symbols)))
 	for i := range f.Symbols {
-		p(f.Symbols[i].Proc)
-		writeString(&buf, f.Symbols[i].Name)
-		p(uint8(f.Symbols[i].Kind))
-		p(f.Symbols[i].Addr)
-		p(f.Symbols[i].Words)
+		u32(uint32(f.Symbols[i].Proc))
+		str(f.Symbols[i].Name)
+		u8(uint8(f.Symbols[i].Kind))
+		u16(uint16(f.Symbols[i].Addr))
+		u8(f.Symbols[i].Words)
 	}
 	if f.Accel == nil {
-		p(uint8(0))
+		u8(0)
 		seal(SecMeta)
-		return buf.Bytes(), spans
+		return b, spans
 	}
-	p(uint8(1))
+	u8(1)
 	seal(SecMeta)
 
 	a := f.Accel
-	p(uint8(a.Level))
-	p(a.BackendID)
-	p(uint32(len(a.RISC)))
-	p(a.RISC)
+	u8(uint8(a.Level))
+	u8(a.BackendID)
+	u32(uint32(len(a.RISC)))
+	for _, w := range a.RISC {
+		u32(w)
+	}
 	seal(SecAccelRISC)
 
-	p(uint32(len(a.Entries)))
-	p(a.Entries)
-	p(uint32(len(a.ExpectedRP)))
-	p(a.ExpectedRP)
+	u32(uint32(len(a.Entries)))
+	for _, e := range a.Entries {
+		u32(uint32(e))
+	}
+	u32(uint32(len(a.ExpectedRP)))
+	b = append(b, a.ExpectedRP...)
 	seal(SecEMap)
 
-	a.PMap.write(&buf)
+	b = a.PMap.appendTo(b)
 	seal(SecPMap)
 
-	p(int64(a.Stats.TNSInstrs))
-	p(int64(a.Stats.TableWords))
-	p(int64(a.Stats.RISCInstrs))
-	p(int64(a.Stats.RPChecks))
-	p(int64(a.Stats.GuessedProcs))
-	p(int64(a.Stats.PuzzlePoints))
-	p(int64(a.Stats.WeldedStmts))
-	p(int64(a.Stats.FilledSlots))
-	p(int64(a.Stats.ElidedFlagOps))
+	for _, v := range [...]int{a.Stats.TNSInstrs, a.Stats.TableWords,
+		a.Stats.RISCInstrs, a.Stats.RPChecks, a.Stats.GuessedProcs,
+		a.Stats.PuzzlePoints, a.Stats.WeldedStmts, a.Stats.FilledSlots,
+		a.Stats.ElidedFlagOps} {
+		b = binary.BigEndian.AppendUint64(b, uint64(v))
+	}
 	// FallbackWhy, sorted by address so serialization is deterministic.
 	addrs := make([]uint16, 0, len(a.FallbackWhy))
 	for addr := range a.FallbackWhy {
 		addrs = append(addrs, addr)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	p(uint32(len(addrs)))
+	slices.Sort(addrs)
+	u32(uint32(len(addrs)))
 	for _, addr := range addrs {
-		p(addr)
-		p(a.FallbackWhy[addr])
+		u16(addr)
+		u8(a.FallbackWhy[addr])
 	}
 	seal(SecFallback)
-	return buf.Bytes(), spans
+	return b, spans
+}
+
+// encodedLen is the length of f's serialization, field by field as
+// Marshal appends them; every section ends in a 4-byte checksum.
+func (f *File) encodedLen() int {
+	n := 4 + 2 + 2 + len(f.Name) + 4 // header: magic, version, name
+	n += 4 + 2*len(f.Code) + 4
+	n += 4 // meta: procedure count
+	for i := range f.Procs {
+		n += 2 + len(f.Procs[i].Name) + 2 + 1 + 1
+	}
+	n += 2 + 2 + 4 // main PEP, global words, data count
+	for i := range f.Data {
+		n += 2 + 4 + 2*len(f.Data[i].Words)
+	}
+	n += 4 + 6*len(f.Statements) + 4
+	for i := range f.Symbols {
+		n += 4 + 2 + len(f.Symbols[i].Name) + 1 + 2 + 1
+	}
+	n += 1 + 4 // acceleration flag
+	if a := f.Accel; a != nil {
+		n += 1 + 1 + 4 + 4*len(a.RISC) + 4
+		n += 4 + 4*len(a.Entries) + 4 + len(a.ExpectedRP) + 4
+		n += a.PMap.encodedLen() + 4
+		n += 9*8 + 4 + 3*len(a.FallbackWhy) + 4
+	}
+	return n
 }
 
 // WriteTo serializes the codefile.
@@ -372,189 +409,262 @@ func (f *File) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// Read deserializes a codefile, verifying the per-section checksums as it
-// goes; every rejection — bad magic, unsupported version,
-// checksum mismatch, implausible count, a main PEP naming no procedure,
-// truncation, trailing garbage — is a typed *ErrCorrupt naming the section
-// the damage was detected in, so a damaged artifact can never surface as
-// garbage structures.
-func Read(r io.Reader) (*File, error) {
-	br := newReader(r)
-	if br.u32() != magic {
-		if br.err == nil {
-			br.err = corruptf(SecHeader, "bad magic")
+// maxFileBytes bounds what Read takes from a stream. The largest
+// codefiles the tools write are a few hundred KB (a full 64K-word code
+// segment and its translation), and tnsxlated caps a submission at the
+// same 64 MiB.
+const maxFileBytes = 64 << 20
+
+// preambleLen is the magic and the version: what decides whether a
+// stream holds a codefile at all.
+const preambleLen = 4 + 2
+
+// Read reads a codefile from r and parses it (see Parse). It reads the
+// magic and version first and refuses a stream that does not begin with
+// them before reading on; otherwise it reads r to its end, refusing a
+// stream longer than 64 MiB once it has read one byte past that. A
+// failed read of r is typed like a truncation at that point, with r's
+// error as the cause.
+func Read(r io.Reader) (*File, error) { return read(r, maxFileBytes) }
+
+func read(r io.Reader, limit int) (*File, error) {
+	size := 4 << 10
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = min(l.Len(), limit) + 1 // +1: the read that meets EOF needs no growth
+	}
+	data := make([]byte, preambleLen, max(size, preambleLen))
+	n, err := io.ReadFull(r, data)
+	data = data[:n]
+	switch err {
+	case nil:
+		p := parser{data: data}
+		if err := p.preamble(); err != nil {
+			return nil, err
 		}
-		return nil, br.fail()
+		data, err = readAtMost(r, data, limit+1)
+	case io.EOF, io.ErrUnexpectedEOF:
+		err = nil // a short stream: Parse reports the truncation
+	}
+	if len(data) > limit {
+		return nil, corruptf(SecHeader, "stream longer than %d bytes", limit)
+	}
+	f, perr := Parse(data)
+	if err != nil {
+		var ce *ErrCorrupt
+		if errors.As(perr, &ce) && (ce.Err == io.EOF || ce.Err == io.ErrUnexpectedEOF) {
+			ce.Err = err
+		}
+	}
+	return f, perr
+}
+
+// readAtMost appends r's bytes to buf until r reports EOF or buf holds
+// limit bytes.
+func readAtMost(r io.Reader, buf []byte, limit int) ([]byte, error) {
+	for len(buf) < limit {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):min(cap(buf), limit)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// Parse decodes a serialized codefile in one pass over data, checking
+// each section's CRC-32 as the section ends. Every rejection — bad magic,
+// unsupported version, checksum mismatch, implausible count, a main PEP
+// naming no procedure, truncation, trailing garbage — is a typed
+// *ErrCorrupt naming the section the damage was detected in, so a damaged
+// artifact can never surface as garbage structures. Every element count
+// is checked against the bytes left before anything is allocated for it,
+// and the returned File shares no memory with data.
+//
+// Truncation follows io.ReadFull's rule field by field, as when the
+// format was decoded from a stream: io.EOF where no byte of a field is
+// left, io.ErrUnexpectedEOF where part of it is. It is attributed to the
+// section under parse when the parse stops, which is meta for a
+// truncated CISC image and fallback for a truncated acceleration.
+func Parse(data []byte) (*File, error) {
+	p := parser{data: data}
+	if err := p.preamble(); err != nil {
+		return nil, err
 	}
 	f := &File{}
-	switch v := br.u16(); {
-	case br.err != nil:
-		return nil, br.fail()
-	case v == version:
-	case v == versionV5:
-		br.noBackendTag = true
-	default:
-		br.err = corruptf(SecHeader, "unsupported version %d", v)
-		return nil, br.fail()
-	}
-	f.Name = br.str()
-	br.seal(SecHeader)
+	f.Name = p.str()
+	p.seal(SecHeader)
 
-	br.sec = SecCode
-	f.Code = br.u16s(br.u32())
-	br.seal(SecCode)
+	p.sec = SecCode
+	f.Code = p.u16s()
+	p.seal(SecCode)
 
-	br.sec = SecMeta
-	np := br.count(br.u32())
-	f.Procs = make([]Proc, np)
-	for i := range f.Procs {
-		f.Procs[i].Name = br.str()
-		f.Procs[i].Entry = br.u16()
-		f.Procs[i].ResultWords = int8(br.u8())
-		f.Procs[i].ArgWords = br.u8()
+	p.sec = SecMeta
+	np := p.count()
+	f.Procs = make([]Proc, 0, p.fit(np, 2+2+1+1))
+	for i := 0; i < np && p.err == nil; i++ {
+		f.Procs = append(f.Procs, Proc{Name: p.str(), Entry: p.u16(),
+			ResultWords: int8(p.u8()), ArgWords: p.u8()})
 	}
-	f.MainPEP = br.u16()
-	f.GlobalWords = br.u16()
-	nd := br.count(br.u32())
-	f.Data = make([]DataSeg, nd)
-	for i := range f.Data {
-		f.Data[i].Addr = br.u16()
-		f.Data[i].Words = br.u16s(br.u32())
+	f.MainPEP = p.u16()
+	f.GlobalWords = p.u16()
+	nd := p.count()
+	f.Data = make([]DataSeg, 0, p.fit(nd, 2+4))
+	for i := 0; i < nd && p.err == nil; i++ {
+		f.Data = append(f.Data, DataSeg{Addr: p.u16(), Words: p.u16s()})
 	}
-	ns := br.count(br.u32())
-	f.Statements = make([]Statement, ns)
-	for i := range f.Statements {
-		f.Statements[i].Addr = br.u16()
-		f.Statements[i].Line = int32(br.u32())
+	ns := p.count()
+	f.Statements = make([]Statement, 0, p.fit(ns, 2+4))
+	for i := 0; i < ns && p.err == nil; i++ {
+		f.Statements = append(f.Statements, Statement{Addr: p.u16(), Line: int32(p.u32())})
 	}
-	ny := br.count(br.u32())
-	f.Symbols = make([]Symbol, ny)
-	for i := range f.Symbols {
-		f.Symbols[i].Proc = int32(br.u32())
-		f.Symbols[i].Name = br.str()
-		f.Symbols[i].Kind = SymKind(br.u8())
-		f.Symbols[i].Addr = int16(br.u16())
-		f.Symbols[i].Words = br.u8()
+	ny := p.count()
+	f.Symbols = make([]Symbol, 0, p.fit(ny, 4+2+1+2+1))
+	for i := 0; i < ny && p.err == nil; i++ {
+		f.Symbols = append(f.Symbols, Symbol{Proc: int32(p.u32()), Name: p.str(),
+			Kind: SymKind(p.u8()), Addr: int16(p.u16()), Words: p.u8()})
 	}
-	hasAccel := br.u8() == 1
-	br.seal(SecMeta)
-	if br.err == nil && int(f.MainPEP) >= len(f.Procs) {
-		br.err = corruptf(SecMeta, "main PEP %d names none of %d procedures",
+	hasAccel := p.u8() == 1
+	p.seal(SecMeta)
+	if p.err == nil && int(f.MainPEP) >= len(f.Procs) {
+		p.err = corruptf(SecMeta, "main PEP %d names none of %d procedures",
 			f.MainPEP, len(f.Procs))
 	}
 
-	if hasAccel && br.err == nil {
+	if hasAccel && p.err == nil {
 		a := &AccelSection{}
-		br.sec = SecAccelRISC
-		a.Level = AccelLevel(br.u8())
-		if !br.noBackendTag {
-			a.BackendID = br.u8()
+		p.sec = SecAccelRISC
+		a.Level = AccelLevel(p.u8())
+		if !p.v5 {
+			a.BackendID = p.u8()
 		}
-		a.RISC = br.u32s(br.u32())
-		br.seal(SecAccelRISC)
+		a.RISC = p.u32s()
+		p.seal(SecAccelRISC)
 
-		br.sec = SecEMap
-		a.Entries = br.i32s(br.u32())
-		nrp := br.count(br.u32())
-		if br.err == nil && nrp > 0 {
-			a.ExpectedRP = make([]uint8, nrp)
-			br.read(a.ExpectedRP)
+		p.sec = SecEMap
+		a.Entries = p.i32s()
+		if nrp := p.count(); nrp > 0 {
+			a.ExpectedRP = p.bytes(nrp)
 		}
-		br.seal(SecEMap)
+		p.seal(SecEMap)
 
-		br.sec = SecPMap
-		a.PMap.read(br)
-		br.seal(SecPMap)
+		p.sec = SecPMap
+		a.PMap.parse(&p)
+		p.seal(SecPMap)
 
-		br.sec = SecFallback
-		a.Stats.TNSInstrs = int(br.i64())
-		a.Stats.TableWords = int(br.i64())
-		a.Stats.RISCInstrs = int(br.i64())
-		a.Stats.RPChecks = int(br.i64())
-		a.Stats.GuessedProcs = int(br.i64())
-		a.Stats.PuzzlePoints = int(br.i64())
-		a.Stats.WeldedStmts = int(br.i64())
-		a.Stats.FilledSlots = int(br.i64())
-		a.Stats.ElidedFlagOps = int(br.i64())
-		nfw := br.count(br.u32())
-		if br.err == nil && nfw > 0 {
-			a.FallbackWhy = make(map[uint16]uint8, nfw)
-			for i := 0; i < nfw && br.err == nil; i++ {
-				addr := br.u16()
-				a.FallbackWhy[addr] = br.u8()
+		p.sec = SecFallback
+		for _, v := range [...]*int{&a.Stats.TNSInstrs, &a.Stats.TableWords,
+			&a.Stats.RISCInstrs, &a.Stats.RPChecks, &a.Stats.GuessedProcs,
+			&a.Stats.PuzzlePoints, &a.Stats.WeldedStmts, &a.Stats.FilledSlots,
+			&a.Stats.ElidedFlagOps} {
+			*v = int(int64(p.u64()))
+		}
+		if nfw := p.count(); nfw > 0 {
+			a.FallbackWhy = make(map[uint16]uint8, p.fit(nfw, 2+1))
+			for i := 0; i < nfw && p.err == nil; i++ {
+				addr := p.u16()
+				a.FallbackWhy[addr] = p.u8()
 			}
 		}
-		br.seal(SecFallback)
+		p.seal(SecFallback)
 		f.Accel = a
 	}
-	if br.err != nil {
-		return nil, br.fail()
+	if p.err != nil {
+		return nil, p.fail()
 	}
 	// The format is self-terminating: anything after the last section is
 	// not ours. Rejecting it closes the door on a shorter (e.g. version-
 	// relabeled) parse "succeeding" inside a longer damaged image.
-	var trailing [1]byte
-	if _, err := io.ReadFull(br.raw, trailing[:]); err == nil {
-		return nil, corruptf(br.sec, "trailing garbage after end of file")
+	if p.pos < len(p.data) {
+		return nil, corruptf(p.sec, "trailing garbage after end of file")
 	}
 	return f, nil
 }
 
-func writeString(buf *bytes.Buffer, s string) {
-	binary.Write(buf, binary.BigEndian, uint16(len(s)))
-	buf.WriteString(s)
+// parser is Parse's cursor over the serialized bytes. The first failure
+// sticks: every later read returns zero values and changes nothing.
+type parser struct {
+	data  []byte
+	pos   int       // next byte to read
+	start int       // first payload byte of the section under parse
+	sec   SectionID // section under parse, for error attribution
+	v5    bool      // acceleration section has no backend byte
+	err   error
 }
 
-type reader struct {
-	raw          io.Reader   // the undecorated source (checksum words read here)
-	r            io.Reader   // raw teed into hash: every payload byte is summed
-	hash         hash.Hash32 // running CRC-32 of the current section's payload
-	noBackendTag bool        // v5: acceleration section has no backend byte
-	sec          SectionID   // section under parse, for error attribution
-	err          error
-}
-
-func newReader(r io.Reader) *reader {
-	h := crc32.NewIEEE()
-	return &reader{raw: r, r: io.TeeReader(r, h), hash: h}
-}
-
-func (b *reader) read(v any) {
-	if b.err == nil {
-		b.err = binary.Read(b.r, binary.BigEndian, v)
+// preamble reads the magic and the version.
+func (p *parser) preamble() error {
+	if p.u32() != magic {
+		if p.err == nil {
+			p.err = corruptf(SecHeader, "bad magic")
+		}
+		return p.fail()
 	}
+	switch v := p.u16(); {
+	case p.err != nil:
+		return p.fail()
+	case v == version:
+	case v == versionV5:
+		p.v5 = true
+	default:
+		p.err = corruptf(SecHeader, "unsupported version %d", v)
+		return p.fail()
+	}
+	return nil
 }
 
-// seal ends the section under parse: read the stored CRC-32 (from the raw
-// stream — checksums do not checksum themselves) and compare it to the
-// running sum of the payload bytes.
-func (b *reader) seal(id SectionID) {
-	if b.err != nil {
+// take returns the next n bytes, or nil once a read has failed: io.EOF
+// when no byte is left, io.ErrUnexpectedEOF when fewer than n are.
+func (p *parser) take(n int) []byte {
+	if p.err != nil {
+		return nil
+	}
+	if left := len(p.data) - p.pos; n > left {
+		p.err = io.ErrUnexpectedEOF
+		if left == 0 {
+			p.err = io.EOF
+		}
+		return nil
+	}
+	b := p.data[p.pos : p.pos+n : p.pos+n]
+	p.pos += n
+	return b
+}
+
+// seal ends the section under parse: check the stored CRC-32 that
+// follows the payload against the payload's.
+func (p *parser) seal(id SectionID) {
+	if p.err != nil {
 		return
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(b.raw, crcBuf[:]); err != nil {
-		b.err = &ErrCorrupt{Section: id, Detail: "truncated checksum", Err: err}
+	payload := p.data[p.start:p.pos]
+	b := p.take(4)
+	if b == nil {
+		p.err = &ErrCorrupt{Section: id, Detail: "truncated checksum", Err: p.err}
 		return
 	}
-	stored := binary.BigEndian.Uint32(crcBuf[:])
-	if computed := b.hash.Sum32(); stored != computed {
-		b.err = corruptf(id, "checksum mismatch (stored %08X, computed %08X)",
+	stored := binary.BigEndian.Uint32(b)
+	if computed := crc32.ChecksumIEEE(payload); stored != computed {
+		p.err = corruptf(id, "checksum mismatch (stored %08X, computed %08X)",
 			stored, computed)
 		return
 	}
-	b.hash.Reset()
+	p.start = p.pos
 }
 
-// fail wraps any pending untyped error (truncation, io failure) as a
-// corruption of the section being parsed, so Read's error is always a
-// typed *ErrCorrupt.
-func (b *reader) fail() error {
+// fail wraps a pending truncation as a corruption of the section under
+// parse, so Parse's error is always a typed *ErrCorrupt.
+func (p *parser) fail() error {
 	var ce *ErrCorrupt
-	if !errors.As(b.err, &ce) {
-		b.err = &ErrCorrupt{Section: b.sec, Err: b.err}
+	if !errors.As(p.err, &ce) {
+		p.err = &ErrCorrupt{Section: p.sec, Err: p.err}
 	}
-	return b.err
+	return p.err
 }
 
 // maxCount bounds every element count read from the wire. TNS addresses are
@@ -564,60 +674,103 @@ func (b *reader) fail() error {
 // allocation.
 const maxCount = 1 << 20
 
-func (b *reader) count(n uint32) int {
-	if b.err == nil && n > maxCount {
-		b.err = corruptf(b.sec, "implausible element count %d", n)
+// count reads an element count.
+func (p *parser) count() int {
+	n := p.u32()
+	if p.err == nil && n > maxCount {
+		p.err = corruptf(p.sec, "implausible element count %d", n)
 	}
-	if b.err != nil {
+	if p.err != nil {
 		return 0
 	}
 	return int(n)
 }
 
-func (b *reader) u8() uint8   { var v uint8; b.read(&v); return v }
-func (b *reader) u16() uint16 { var v uint16; b.read(&v); return v }
-func (b *reader) u32() uint32 { var v uint32; b.read(&v); return v }
-func (b *reader) i64() int64  { var v int64; b.read(&v); return v }
-
-func (b *reader) str() string {
-	n := b.u16()
-	if b.err != nil {
-		return ""
-	}
-	s := make([]byte, n)
-	if _, err := io.ReadFull(b.r, s); err != nil {
-		b.err = err
-		return ""
-	}
-	return string(s)
+// fit caps a count of elements at least size bytes long each at what the
+// bytes left can hold: the capacity to allocate before parsing them one by
+// one, so a count past the end of the file costs no more than the file.
+func (p *parser) fit(n, size int) int {
+	return min(n, (len(p.data)-p.pos)/size)
 }
 
-func (b *reader) u16s(n uint32) []uint16 {
-	nn := b.count(n)
-	if b.err != nil {
+func (p *parser) u8() uint8 {
+	if b := p.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (p *parser) u16() uint16 {
+	if b := p.take(2); b != nil {
+		return binary.BigEndian.Uint16(b)
+	}
+	return 0
+}
+
+func (p *parser) u32() uint32 {
+	if b := p.take(4); b != nil {
+		return binary.BigEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (p *parser) u64() uint64 {
+	if b := p.take(8); b != nil {
+		return binary.BigEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (p *parser) str() string {
+	return string(p.take(int(p.u16())))
+}
+
+// bytes copies the next n bytes.
+func (p *parser) bytes(n int) []byte {
+	b := p.take(n)
+	if b == nil {
 		return nil
 	}
-	v := make([]uint16, nn)
-	b.read(v)
+	return append(make([]byte, 0, n), b...)
+}
+
+// u16s reads a counted array of 16-bit words; u32s and i32s, of 32-bit
+// words. The whole array is one read.
+func (p *parser) u16s() []uint16 {
+	n := p.count()
+	b := p.take(2 * n)
+	if b == nil {
+		return nil
+	}
+	v := make([]uint16, n)
+	for i := range v {
+		v[i] = binary.BigEndian.Uint16(b[2*i:])
+	}
 	return v
 }
 
-func (b *reader) u32s(n uint32) []uint32 {
-	nn := b.count(n)
-	if b.err != nil {
+func (p *parser) u32s() []uint32 {
+	n := p.count()
+	b := p.take(4 * n)
+	if b == nil {
 		return nil
 	}
-	v := make([]uint32, nn)
-	b.read(v)
+	v := make([]uint32, n)
+	for i := range v {
+		v[i] = binary.BigEndian.Uint32(b[4*i:])
+	}
 	return v
 }
 
-func (b *reader) i32s(n uint32) []int32 {
-	nn := b.count(n)
-	if b.err != nil {
+func (p *parser) i32s() []int32 {
+	n := p.count()
+	b := p.take(4 * n)
+	if b == nil {
 		return nil
 	}
-	v := make([]int32, nn)
-	b.read(v)
+	v := make([]int32, n)
+	for i := range v {
+		v[i] = int32(binary.BigEndian.Uint32(b[4*i:]))
+	}
 	return v
 }

@@ -54,7 +54,8 @@ func fuzzSeedFile() []byte {
 }
 
 // FuzzParseCodefile throws arbitrary bytes at the codefile deserializer.
-// Read must never panic or allocate unboundedly, and any input it accepts
+// Parse must never panic or allocate unboundedly, it and Read must agree
+// with the reference decoder on every input, and any input they accept
 // must survive a stable serialize/parse/serialize round trip.
 func FuzzParseCodefile(f *testing.F) {
 	f.Add(fuzzSeedFile())
@@ -62,7 +63,10 @@ func FuzzParseCodefile(f *testing.F) {
 	f.Add([]byte{0x54, 0x4E, 0x53, 0x43})                         // magic only
 	f.Add([]byte{0x54, 0x4E, 0x53, 0x43, 0x00, 0x03, 0x00, 0x00}) // magic+version
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cf, err := Read(bytes.NewReader(data))
+		if err := CompareWithReference(data); err != nil {
+			t.Fatal(err)
+		}
+		cf, err := Parse(data)
 		if err != nil {
 			return
 		}
@@ -140,9 +144,9 @@ func accelFuzzVariants() map[string][]byte {
 }
 
 // FuzzParseAccelSection fuzzes only the acceleration sections behind a
-// fixed valid CISC prefix: the deserializer must reject damage with typed
-// errors, never panic, and anything it accepts must survive Verify without
-// panicking and round-trip stably. Seeds beyond f.Add live in
+// fixed valid CISC prefix: the deserializer must agree with the reference
+// decoder, reject damage with typed errors, never panic, and anything it
+// accepts must survive Verify without panicking and round-trip stably. Seeds beyond f.Add live in
 // testdata/fuzz/FuzzParseAccelSection (see TestRegenAccelFuzzCorpus).
 func FuzzParseAccelSection(f *testing.F) {
 	prefix, _ := accelFuzzParts()
@@ -151,7 +155,10 @@ func FuzzParseAccelSection(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		data := append(append([]byte(nil), prefix...), tail...)
-		cf, err := Read(bytes.NewReader(data))
+		if err := CompareWithReference(data); err != nil {
+			t.Fatal(err)
+		}
+		cf, err := Parse(data)
 		if err != nil {
 			if !IsCorrupt(err) {
 				t.Fatalf("untyped rejection: %v", err)

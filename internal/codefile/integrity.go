@@ -58,8 +58,9 @@ type SectionSpan struct {
 
 // ErrCorrupt is the typed load- and verify-time rejection: the section the
 // damage was detected in, plus the underlying detail. Every failure mode of
-// Read — bad magic, checksum mismatch, implausible counts, truncation —
-// surfaces as an ErrCorrupt, so no caller ever has to string-match.
+// Parse and Read — bad magic, checksum mismatch, implausible counts,
+// truncation — surfaces as an ErrCorrupt, so no caller ever has to
+// string-match.
 type ErrCorrupt struct {
 	Section SectionID
 	Detail  string
@@ -104,7 +105,7 @@ func FixChecksum(data []byte, span SectionSpan) {
 // table store absolute indexes). It returns a typed *ErrCorrupt naming the
 // offending section, or nil.
 //
-// Checksums (checked by Read) prove the bytes are the ones written;
+// Checksums (checked by Parse) prove the bytes are the ones written;
 // Verify proves the structures are coherent with each other — the defense
 // against a mutation that recomputes a section checksum, and against a
 // translator bug shipping an inconsistent artifact. Neither defends

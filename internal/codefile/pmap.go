@@ -1,6 +1,9 @@
 package codefile
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // PMap is the Program Address Map: a sparse, monotonic mapping from 16-bit
 // TNS instruction addresses to 32-bit RISC instruction addresses. Following
@@ -141,9 +144,18 @@ func (p *PMap) mappedAddrs() []uint16 {
 }
 
 func (p *PMap) computeMapped() []uint16 {
-	var out []uint16
-	for a := range p.off {
-		if p.off[a] != offUnmapped {
+	n := 0
+	for _, o := range p.off {
+		if o != offUnmapped {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]uint16, 0, n)
+	for a, o := range p.off {
+		if o != offUnmapped {
 			out = append(out, uint16(a))
 		}
 	}
@@ -208,37 +220,42 @@ func (p *PMap) Pack() []byte {
 	return out
 }
 
-func (p *PMap) write(buf interface{ Write([]byte) (int, error) }) {
-	w32 := func(v uint32) {
-		buf.Write([]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
-	}
-	w32(uint32(len(p.base)))
-	for _, b := range p.base {
-		w32(uint32(b))
-	}
-	w32(uint32(len(p.off)))
-	buf.Write(p.off)
-	w32(uint32(len(p.regExact)))
-	for _, b := range p.regExact {
-		w32(uint32(b >> 32))
-		w32(uint32(b))
-	}
+// encodedLen is the length of the PMap's serialization (appendTo).
+func (p *PMap) encodedLen() int {
+	return 4 + 4*len(p.base) + 4 + len(p.off) + 4 + 8*len(p.regExact)
 }
 
-func (p *PMap) read(br *reader) {
-	p.base = br.i32s(br.u32())
-	no := br.count(br.u32())
-	if br.err == nil {
-		p.off = make([]uint8, no)
-		br.read(p.off)
+// appendTo appends the PMap's serialization to b: the counted base, offset
+// and register-exact arrays, big-endian, each register-exact word as two
+// 32-bit halves.
+func (p *PMap) appendTo(b []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(p.base)))
+	for _, g := range p.base {
+		b = binary.BigEndian.AppendUint32(b, uint32(g))
 	}
-	nr := br.count(br.u32())
-	if br.err == nil {
-		p.regExact = make([]uint64, nr)
-		for i := range p.regExact {
-			hi := br.u32()
-			lo := br.u32()
-			p.regExact[i] = uint64(hi)<<32 | uint64(lo)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(p.off)))
+	b = append(b, p.off...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(p.regExact)))
+	for _, w := range p.regExact {
+		b = binary.BigEndian.AppendUint64(b, w)
+	}
+	return b
+}
+
+// parse reads what appendTo wrote. The register-exact words are read as
+// two 32-bit halves each, so a truncation among them reads as it did when
+// the halves were read from a stream one at a time.
+func (p *PMap) parse(r *parser) {
+	p.base = r.i32s()
+	if no := r.count(); r.err == nil {
+		p.off = r.bytes(no)
+	}
+	if nr := r.count(); r.err == nil {
+		p.regExact = make([]uint64, 0, r.fit(nr, 8))
+		for i := 0; i < nr && r.err == nil; i++ {
+			hi := r.u32()
+			lo := r.u32()
+			p.regExact = append(p.regExact, uint64(hi)<<32|uint64(lo))
 		}
 	}
 	// Loaded sections are execution artifacts: seal so concurrent runners

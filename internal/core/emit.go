@@ -63,8 +63,9 @@ type emitStats struct {
 	elidedFlagOps int
 }
 
-func newFn(nprocs int) *fn {
-	f := &fn{procEntry: make([]label, nprocs), why: map[uint16]uint8{}}
+// newFn makes an emission buffer with room for insCap instructions.
+func newFn(nprocs, insCap int) *fn {
+	f := &fn{ins: make([]rinst, 0, insCap), procEntry: make([]label, nprocs), why: map[uint16]uint8{}}
 	for i := range f.procEntry {
 		f.procEntry[i] = noLabel
 	}

@@ -15,6 +15,7 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"tnsr/internal/backend"
 	"tnsr/internal/backend/mips"
@@ -211,17 +212,7 @@ func (o Options) TransKey(fileFingerprint uint64) (string, error) {
 			put("select", k)
 		}
 	}
-	{
-		_, milli := o.Backend.Millicode()
-		keys := make([]string, 0, len(milli))
-		for k := range milli {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			put("milli", k, milli[k])
-		}
-	}
+	h.Write(milliKeyLines(o.Backend))
 	if o.Profile != nil {
 		ph, err := o.Profile.Hash()
 		if err != nil {
@@ -230,6 +221,32 @@ func (o Options) TransKey(fileFingerprint uint64) (string, error) {
 		put("profile", ph, o.ProfileCover)
 	}
 	return fmt.Sprintf("%016x", h.Sum64()), nil
+}
+
+// milliLines holds, per backend ID, the millicode label lines TransKey
+// hashes (milliKeyLines). The registry gives each target its own ID, and
+// a target's labels never change, so each is formatted once.
+var milliLines [256]atomic.Pointer[[]byte]
+
+// milliKeyLines returns be's millicode labels as TransKey hashes them:
+// one "milli <label> <word>" line per label, in label order.
+func milliKeyLines(be backend.Backend) []byte {
+	slot := &milliLines[be.ID()]
+	if lines := slot.Load(); lines != nil {
+		return *lines
+	}
+	_, milli := be.Millicode()
+	keys := make([]string, 0, len(milli))
+	for k := range milli {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var lines []byte
+	for _, k := range keys {
+		lines = fmt.Appendln(lines, "milli", k, milli[k])
+	}
+	slot.Store(&lines)
+	return lines
 }
 
 // withDefaults returns a copy of o with every unset knob filled in, or an

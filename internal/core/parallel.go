@@ -74,7 +74,7 @@ func translate(p *program, opts *Options) (*fn, codefile.AccelStats, error) {
 // translateSerial walks the fragments in order with one translator sharing
 // one buffer — the reference pipeline the parallel merge must reproduce.
 func translateSerial(ctx *transCtx, frags []fragment) (*fn, codefile.AccelStats, error) {
-	t := newTranslator(ctx)
+	t := newTranslator(ctx, frags...)
 	for _, fr := range frags {
 		if err := t.translateRange(fr); err != nil {
 			return nil, codefile.AccelStats{}, err
@@ -125,7 +125,7 @@ func translateSched(ctx *transCtx, frags []fragment, sched FragSched) (*fn, code
 		t0 = time.Now()
 	}
 	sched.Run(len(frags), func(k int) {
-		tr := newTranslator(ctx)
+		tr := newTranslator(ctx, frags[k])
 		if err := tr.translateRange(frags[k]); err != nil {
 			errs[k] = err
 			return
@@ -161,7 +161,15 @@ func translateSched(ctx *transCtx, frags []fragment, sched FragSched) (*fn, code
 // fragment's labels by a fixed offset and then aliasing unbound references
 // onto their owners' positions reproduces the serial result exactly.
 func mergeFragments(ctx *transCtx, results []*fragResult) (*fn, codefile.AccelStats, error) {
-	merged := newFn(len(ctx.p.file.Procs))
+	var nins, nlabels, npoints int
+	for _, r := range results {
+		nins += len(r.f.ins)
+		nlabels += len(r.f.labelPos)
+		npoints += len(r.f.points)
+	}
+	merged := newFn(len(ctx.p.file.Procs), nins)
+	merged.labelPos = make([]int32, 0, nlabels)
+	merged.points = make([]pmapPoint, 0, npoints)
 	var stats codefile.AccelStats
 
 	insOff := make([]int, len(results))

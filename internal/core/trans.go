@@ -101,9 +101,10 @@ type translator struct {
 	stats codefile.AccelStats
 }
 
-// newTranslator creates a translator with a fresh code buffer and state.
-func newTranslator(ctx *transCtx) *translator {
-	f := newFn(len(ctx.p.file.Procs))
+// newTranslator creates a translator with fresh state and a code buffer
+// with room for what frags are expected to emit (insEstimate).
+func newTranslator(ctx *transCtx, frags ...fragment) *translator {
+	f := newFn(len(ctx.p.file.Procs), insEstimate(frags))
 	t := &translator{
 		ctx:      ctx,
 		p:        ctx.p,
@@ -165,6 +166,18 @@ func (t *translator) blockLabel(a uint16) label {
 type fragment struct {
 	start, end int
 	next       int
+}
+
+// insEstimate is the RISC instructions frags are expected to emit: two
+// per TNS word and sixteen per procedure (its prologue, exit and stubs).
+// The paper workloads emit 1.3 to 2.1 per word, and a one-word procedure
+// emits 16, so the buffer is allocated once for nearly every procedure.
+func insEstimate(frags []fragment) int {
+	n := 0
+	for _, fr := range frags {
+		n += 2*(fr.end-fr.start) + 16
+	}
+	return n
 }
 
 // fragments splits the program into per-procedure fragments in ascending

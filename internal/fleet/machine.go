@@ -11,7 +11,6 @@
 package fleet
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 
@@ -227,5 +226,5 @@ func simulateArrivals(spec *machineSpec, r *xrun.Runner) (txns int64, elapsed fl
 // parseImage loads one serialized codefile; it is how chaos machines get
 // their private (possibly mutated) images.
 func parseImage(raw []byte) (*codefile.File, error) {
-	return codefile.Read(bytes.NewReader(raw))
+	return codefile.Parse(raw)
 }

@@ -128,7 +128,9 @@ func (p Policy) Delay(n int) time.Duration {
 // ctx is done. The returned error is op's last error (wrapped context
 // error when the wait was cut short).
 func (p Policy) Do(ctx context.Context, op func() error) error {
-	rng := rand.New(rand.NewSource(p.Seed))
+	// The jitter source is seeded at the first jittered wait: most calls
+	// succeed at once, and seeding costs a 5 KB state and its fill.
+	var rng *rand.Rand
 	var err error
 	for attempt := 1; ; attempt++ {
 		if p.Counters != nil {
@@ -160,6 +162,9 @@ func (p Policy) Do(ctx context.Context, op func() error) error {
 				d = p.maxDelay()
 			}
 		} else if d > 0 {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(p.Seed))
+			}
 			d = d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
 		}
 		if werr := p.sleep(ctx, d); werr != nil {

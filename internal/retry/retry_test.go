@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"testing"
 	"time"
@@ -64,6 +65,31 @@ func TestBackoffEnvelope(t *testing.T) {
 		if d < lo || d > hi {
 			t.Errorf("sleep %d = %v outside [%v, %v]", i, d, lo, hi)
 		}
+	}
+}
+
+// TestDoSeedsJitterOnlyToWait: a call that succeeds at once allocates
+// nothing for its jitter, and the waits of one that retries are drawn in
+// order from a source seeded with Seed.
+func TestDoSeedsJitterOnlyToWait(t *testing.T) {
+	p := Policy{Seed: 42}
+	op := func() error { return nil }
+	if n := testing.AllocsPerRun(100, func() { p.Do(context.Background(), op) }); n != 0 {
+		t.Errorf("a first-try success allocates %v times", n)
+	}
+	var sleeps []time.Duration
+	p = Policy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, Seed: 42,
+		Sleep: collectSleeps(&sleeps)}
+	p.Do(context.Background(), func() error { return errors.New("x") })
+	rng := rand.New(rand.NewSource(42))
+	for i, got := range sleeps {
+		d := p.Delay(i + 1)
+		if want := d/2 + time.Duration(rng.Int63n(int64(d/2)+1)); got != want {
+			t.Fatalf("wait %d = %v, want %v", i+1, got, want)
+		}
+	}
+	if len(sleeps) != 4 {
+		t.Fatalf("%d waits, want 4", len(sleeps))
 	}
 }
 

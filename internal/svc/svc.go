@@ -155,15 +155,16 @@ func (c *Chassis) Draining() bool { return c.draining.Load() }
 
 // ReadBody opens every write route: refuse it while draining (503 +
 // Retry-After, reason "draining"), then read the body under MaxBody — 413
-// "size" past the cap, 400 "read" on a failed read. what names the body in
-// the 413 message. On false the refusal has been written.
+// "size" past the cap, 400 "read" on a failed read, a body shorter than
+// its declared length among them. what names the body in the 413
+// message. On false the refusal has been written.
 func (c *Chassis) ReadBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
 	if c.Draining() {
 		w.Header().Set("Retry-After", "1")
 		c.Fail(w, r, http.StatusServiceUnavailable, "draining", "server is draining; retry later")
 		return nil, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.lim.MaxBody))
+	body, err := ReadSized(http.MaxBytesReader(w, r.Body, c.lim.MaxBody), r.ContentLength, c.lim.MaxBody)
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):
@@ -177,6 +178,21 @@ func (c *Chassis) ReadBody(w http.ResponseWriter, r *http.Request, what string) 
 	return nil, false
 }
 
+// ReadSized reads all of body, a message body whose declared length is
+// size (-1 when unknown). A declared length of at most limit is read into
+// one buffer of exactly that length, and a body that ends short of it is
+// an error (io.ErrUnexpectedEOF, or io.EOF if nothing came). Otherwise
+// body is read to its end, as io.ReadAll reads it; the caller caps body
+// at limit.
+func ReadSized(body io.Reader, size, limit int64) ([]byte, error) {
+	if size < 0 || size > limit {
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, size)
+	n, err := io.ReadFull(body, buf)
+	return buf[:n], err
+}
+
 // Fail writes a plain-text refusal and counts it under its typed reason.
 func (c *Chassis) Fail(w http.ResponseWriter, r *http.Request, code int, reason, msg string) {
 	c.mu.Lock()
@@ -186,12 +202,15 @@ func (c *Chassis) Fail(w http.ResponseWriter, r *http.Request, code int, reason,
 	http.Error(w, msg, code)
 }
 
-// Respond writes a successful answer and counts it.
+// Respond writes a successful answer and counts it. The body goes out in
+// one write under its Content-Length, so a client can read it into one
+// buffer of that size.
 func (c *Chassis) Respond(w http.ResponseWriter, r *http.Request, code int, body []byte, contentType string) {
 	c.mu.Lock()
 	c.requests[reqKey{r.Method, code}]++
 	c.mu.Unlock()
 	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
 	w.Write(body)
 }

@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -121,6 +122,90 @@ func TestChassisReadBody(t *testing.T) {
 	}
 	if w := send(e, "", http.MethodGet, "/v1/echo/x", "", nil); w.Code != http.StatusOK {
 		t.Errorf("read while draining: %d, want 200", w.Code)
+	}
+}
+
+// TestReadSized: a declared length within the cap is read into one buffer
+// of that length and a body ending short of it is an error; an unknown or
+// over-cap length reads the body as io.ReadAll does.
+func TestReadSized(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		body        string
+		size, limit int64
+		want        string
+		err         error
+		exact       bool // read into a buffer of exactly the declared length
+	}{
+		{"declared", "abcd", 4, 8, "abcd", nil, true},
+		{"declared at the cap", "abcdefgh", 8, 8, "abcdefgh", nil, true},
+		{"declared empty", "", 0, 8, "", nil, true},
+		{"short", "ab", 4, 8, "ab", io.ErrUnexpectedEOF, false},
+		{"nothing came", "", 4, 8, "", io.EOF, false},
+		{"unknown", "abcdef", -1, 8, "abcdef", nil, false},
+		{"past the cap", "abcdefghij", 10, 8, "abcdefghij", nil, false},
+	} {
+		got, err := ReadSized(strings.NewReader(c.body), c.size, c.limit)
+		if string(got) != c.want || err != c.err {
+			t.Errorf("%s: ReadSized = %q, %v; want %q, %v", c.name, got, err, c.want, c.err)
+		}
+		if c.exact && cap(got) != len(got) {
+			t.Errorf("%s: read into %d bytes of buffer for %d", c.name, cap(got), len(got))
+		}
+	}
+}
+
+// rawRequest writes req on a fresh connection to addr, closes the write
+// half and returns the response's status line.
+func rawRequest(t *testing.T, addr, req string) string {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	conn.(*net.TCPConn).CloseWrite()
+	line, _ := bufio.NewReader(conn).ReadString('\n')
+	return strings.TrimSpace(line)
+}
+
+// TestChassisDeclaredLength: over a real connection the body is read at
+// its declared length — a length past the cap is still the 413, a body
+// ending short of its length is the 400 "read" — and every answer
+// declares its own length.
+func TestChassisDeclaredLength(t *testing.T) {
+	e := newEcho(Limits{MaxBody: 8})
+	srv := httptest.NewServer(e)
+	defer srv.Close()
+	post := func(body string) (*http.Response, string) {
+		resp, err := http.Post(srv.URL+"/v1/echo/", "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp, string(b)
+	}
+	if resp, body := post("12345678"); resp.StatusCode != http.StatusOK || body != "12345678" || resp.ContentLength != 8 {
+		t.Errorf("body at the cap: %d %q, Content-Length %d", resp.StatusCode, body, resp.ContentLength)
+	}
+	if resp, body := post("123456789"); resp.StatusCode != http.StatusRequestEntityTooLarge ||
+		!strings.Contains(body, "echo exceeds 8 bytes") {
+		t.Errorf("body past the cap: %d %q", resp.StatusCode, body)
+	}
+	addr := strings.TrimPrefix(srv.URL, "http://")
+	short := "POST /v1/echo/ HTTP/1.1\r\nHost: x\r\nContent-Length: 8\r\n\r\n1234"
+	if got := rawRequest(t, addr, short); !strings.Contains(got, " 400 ") {
+		t.Errorf("body shorter than declared: %q, want a 400", got)
+	}
+	e.c.mu.Lock()
+	reads := e.c.rejects["read"]
+	e.c.mu.Unlock()
+	if reads != 1 {
+		t.Errorf("read rejects = %d, want 1", reads)
 	}
 }
 

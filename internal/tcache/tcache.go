@@ -6,7 +6,7 @@
 // the acceleration section. The cache stores the whole accelerated
 // codefile under that key; a hit grafts the cached section after the same
 // integrity gates any loaded codefile passes (v5 checksums in
-// codefile.Read, AccelSection.Verify, and an input-fingerprint recheck),
+// codefile.Parse, AccelSection.Verify, and an input-fingerprint recheck),
 // so a damaged or mismatched cache entry degrades to a cold translation,
 // never to wrong code.
 //
@@ -17,7 +17,6 @@
 package tcache
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -170,7 +169,7 @@ func (c *Cache) get(key string, wantFP uint64, bases ...uint32) ([]byte, *codefi
 	if err != nil {
 		return nil, nil
 	}
-	cf, err := codefile.Read(bytes.NewReader(data))
+	cf, err := codefile.Parse(data)
 	if err == nil && cf.Accel != nil && (wantFP == 0 || cf.Fingerprint() == wantFP) {
 		for _, base := range bases {
 			if cf.Accel.Verify(cf, int(base)) == nil {
@@ -186,11 +185,8 @@ func (c *Cache) get(key string, wantFP uint64, bases ...uint32) ([]byte, *codefi
 
 // Put persists an accelerated codefile under key and applies the size cap.
 func (c *Cache) Put(key string, f *codefile.File) error {
-	var buf bytes.Buffer
-	if _, err := f.WriteTo(&buf); err != nil {
-		return fmt.Errorf("tcache: %w", err)
-	}
-	if err := c.st.Put(key+entrySuffix, buf.Bytes()); err != nil {
+	data, _ := f.Marshal()
+	if err := c.st.Put(key+entrySuffix, data); err != nil {
 		return fmt.Errorf("tcache: %w", err)
 	}
 	c.maybeEvict(key + entrySuffix)

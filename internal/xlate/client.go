@@ -16,6 +16,7 @@ import (
 	"tnsr/internal/core"
 	"tnsr/internal/millicode"
 	"tnsr/internal/retry"
+	"tnsr/internal/svc"
 )
 
 // Client talks to a tnsxlated daemon: submit a codefile with its
@@ -165,7 +166,7 @@ func (c *Client) FetchContext(ctx context.Context, key string) (*codefile.File, 
 		return nil, nil, fmt.Errorf("xlate: fetch: %w", err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, DefaultMaxBody))
+	data, err := svc.ReadSized(io.LimitReader(resp.Body, DefaultMaxBody), resp.ContentLength, DefaultMaxBody)
 	if err != nil {
 		return nil, nil, fmt.Errorf("xlate: fetch: %w", err)
 	}
@@ -183,7 +184,7 @@ func (c *Client) FetchContext(ctx context.Context, key string) (*codefile.File, 
 		return nil, nil, fmt.Errorf("xlate: fetch: %w",
 			retry.NewHTTPError(resp, strings.TrimSpace(string(data))))
 	}
-	cf, err := codefile.Read(bytes.NewReader(data))
+	cf, err := codefile.Parse(data)
 	if err != nil {
 		// Damaged bytes in flight: the strict parser refused them, the
 		// server may well hold a good copy — transient, poll again.

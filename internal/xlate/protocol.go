@@ -1,7 +1,6 @@
 package xlate
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -14,15 +13,6 @@ import (
 	"tnsr/internal/core"
 	"tnsr/internal/pgo"
 )
-
-// writeCodefile serializes f to the same bytes a .tns file holds.
-func writeCodefile(f *codefile.File) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := f.WriteTo(&buf); err != nil {
-		return nil, fmt.Errorf("xlate: serialize codefile: %w", err)
-	}
-	return buf.Bytes(), nil
-}
 
 // Wire schemas. The submit request carries the codefile plus every
 // output-affecting translation knob BY NAME — never a serialized Options
@@ -158,15 +148,7 @@ func EncodeRequest(f *codefile.File, opts core.Options) (*SubmitRequest, error) 
 		}
 		req.Profile = data
 	}
-	var buf []byte
-	{
-		var err error
-		buf, err = writeCodefile(f)
-		if err != nil {
-			return nil, err
-		}
-	}
-	req.Codefile = buf
+	req.Codefile, _ = f.Marshal() // the same bytes a .tns file holds
 	return req, nil
 }
 

@@ -25,6 +25,7 @@ package xlate
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -212,11 +213,11 @@ func (q *Queue) worker(id int) {
 		t.running--
 		q.executed++
 		if t.next == t.n && t.running == 0 {
-			for i, tt := range q.tasks {
-				if tt == t {
-					q.tasks = append(q.tasks[:i], q.tasks[i+1:]...)
-					break
-				}
+			// Delete zeroes the slot it vacates, so the backing array
+			// does not keep the finished job, and the translation state
+			// it captured, alive.
+			if i := slices.Index(q.tasks, t); i >= 0 {
+				q.tasks = slices.Delete(q.tasks, i, i+1)
 			}
 			close(t.done)
 		}

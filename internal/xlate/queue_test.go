@@ -249,3 +249,26 @@ func BenchmarkQueueStealVsFIFO(b *testing.B) {
 		})
 	}
 }
+
+// TestQueueDropsFinishedTasks: once Run returns, the queue holds nothing
+// of the task, so what its job captured — a whole translation's state in
+// the service — can be collected.
+func TestQueueDropsFinishedTasks(t *testing.T) {
+	q := NewQueue(2, false)
+	defer q.Close()
+	freed := make(chan struct{})
+	func() {
+		state := new([1 << 10]byte)
+		runtime.SetFinalizer(state, func(*[1 << 10]byte) { close(freed) })
+		q.Run(4, func(k int) { state[k]++ })
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	t.Fatal("a finished task's job is still reachable from the queue")
+}

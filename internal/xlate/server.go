@@ -1,7 +1,6 @@
 package xlate
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -207,7 +206,7 @@ func (s *Server) acceptSubmit(w http.ResponseWriter, r *http.Request) {
 		s.c.Fail(w, r, http.StatusBadRequest, "options", err.Error())
 		return
 	}
-	f, err := codefile.Read(bytes.NewReader(req.Codefile))
+	f, err := codefile.Parse(req.Codefile)
 	if err != nil {
 		s.c.Fail(w, r, http.StatusBadRequest, "codefile", err.Error())
 		return
