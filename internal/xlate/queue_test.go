@@ -262,12 +262,12 @@ func TestQueueDropsFinishedTasks(t *testing.T) {
 		runtime.SetFinalizer(state, func(*[1 << 10]byte) { close(freed) })
 		q.Run(4, func(k int) { state[k]++ })
 	}()
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 100; i++ {
 		runtime.GC()
 		select {
 		case <-freed:
 			return
-		case <-time.After(5 * time.Millisecond):
+		case <-time.After(10 * time.Millisecond):
 		}
 	}
 	t.Fatal("a finished task's job is still reachable from the queue")
