@@ -91,7 +91,9 @@ type Backend interface {
 	// Encode lowers a virtual instruction stream to target words. base
 	// is the code-space word index the stream will be loaded at; labelAt
 	// resolves a label to the virtual instruction index it is bound to
-	// (which may equal len(ins) for end-of-stream labels).
+	// (which may equal len(ins) for end-of-stream labels). ins is the
+	// translator's own emission buffer, not a copy: Encode reads it and
+	// must not write it.
 	Encode(ins []Inst, labelAt func(Label) (int32, error), base uint32) (Encoded, error)
 	// Load decodes the populated words of a code image once into the
 	// target's instruction form. Words the target cannot decode are kept

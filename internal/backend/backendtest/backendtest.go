@@ -5,8 +5,9 @@
 //
 //   - Registry identity: ByID/ByName resolve back to the instance, and
 //     Millicode returns private copies with every runtime entry label.
-//   - Encoding is deterministic and its Pos map is well-formed (length
-//     len(ins)+1, non-decreasing, ending at len(Code)).
+//   - Encoding is deterministic, leaves its input stream as it found it
+//     (the stream is the translator's own buffer), and its Pos map is
+//     well-formed (length len(ins)+1, non-decreasing, ending at len(Code)).
 //   - A virtual-stream fragment covering the delicate lowering cases —
 //     MULT/DIV + MFLO/MFHI adjacency, LA pairs and table words read back
 //     through the code window, JR dispatch, JAL linkage, delay-slot nops,
@@ -254,7 +255,11 @@ func execProg() (p *prog, marks map[string]int) {
 
 func testEncode(t *testing.T, be backend.Backend) {
 	p, _ := execProg()
+	ins := slices.Clone(p.ins)
 	enc := p.encode(t, be)
+	if !slices.Equal(p.ins, ins) {
+		t.Fatal("Encode wrote its input stream")
+	}
 	enc2 := p.encode(t, be)
 	if !reflect.DeepEqual(enc, enc2) {
 		t.Fatal("Encode is not deterministic")

@@ -27,12 +27,28 @@ func manyProcs(rows int) *codefile.File {
 	return f
 }
 
+// oneWordProcs returns a codefile of rows one-word procedures, each an
+// EXIT of its own: every row is a fragment of its own, the shape in which
+// a translation through fragments has the most of them to merge.
+func oneWordProcs(rows int) *codefile.File {
+	f := &codefile.File{Name: "fragments", Code: make([]uint16, rows),
+		Procs: make([]codefile.Proc, rows)}
+	for i := range f.Procs {
+		f.Code[i] = tns.EncEXIT(0)
+		f.Procs[i] = codefile.Proc{Name: fmt.Sprint("p", i), Entry: uint16(i)}
+	}
+	return f
+}
+
 // BenchmarkPEPRows prices what the PEP row count of a submitted codefile
 // costs the stages that split its code words among procedures: a
 // translation (core.Accelerate, one worker), the analysis alone
 // (core.Analyze), attaching a PGO capture (pgo.Capture.AttachFiles) and
 // building a run image of the translation (xrun.NewImage, which builds the
-// obs attribution tables). Each should grow linearly with the rows.
+// obs attribution tables). The fragments leg translates as many one-word
+// procedures with two workers, each procedure its own fragment, the way
+// tnsxlated's queue translates every codefile. Each should grow linearly
+// with the rows.
 func BenchmarkPEPRows(b *testing.B) {
 	f := manyProcs(pepRows)
 	opts := core.Options{Workers: 1}
@@ -40,6 +56,16 @@ func BenchmarkPEPRows(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := core.Accelerate(f.Pristine(), opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("fragments", func(b *testing.B) {
+		frags := oneWordProcs(pepRows)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := core.Accelerate(frags.Pristine(), core.Options{Workers: 2}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -21,6 +21,7 @@ func benchAccelerate(b *testing.B, workers int) {
 	}
 	opts := core.Options{Workers: workers}
 	b.SetBytes(int64(2 * len(w.User.Code))) // TNS code words are 16-bit
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := core.Accelerate(w.User, opts); err != nil {

@@ -51,7 +51,7 @@ func Accelerate(file *codefile.File, opts Options) error {
 	p.liveness()
 	mark("liveness")
 
-	f, stats, err := translate(p, &opts)
+	f, err := translate(p, &opts)
 	if err != nil {
 		return err
 	}
@@ -63,12 +63,10 @@ func Accelerate(file *codefile.File, opts Options) error {
 	// backend without delay slots gets the raw stream (its encoder drops
 	// the explicit slot nops instead).
 	if !opts.DisableSchedule && opts.Backend.Traits().DelaySlots {
-		ss := schedule(f)
-		stats.FilledSlots = ss.filledSlots
-		stats.WeldedStmts = ss.welded
+		schedule(f)
 		mark("schedule")
 	}
-	sec, err := finalizeSection(p, &opts, f, stats)
+	sec, err := finalizeSection(p, &opts, f)
 	if err != nil {
 		return err
 	}

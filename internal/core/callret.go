@@ -1,6 +1,7 @@
 package core
 
 import (
+	"tnsr/internal/backend"
 	"tnsr/internal/codefile"
 	"tnsr/internal/millicode"
 	"tnsr/internal/obs"
@@ -23,13 +24,8 @@ func (t *translator) emitPrologue(pi int, entry uint16) {
 	f := t.f
 	f.curTNS = entry
 	// A forward call may already have allocated this procedure's entry
-	// label (ensureProcLabel); bind it rather than orphaning it.
-	l := f.procEntry[pi]
-	if l == noLabel {
-		l = f.newLabel()
-		f.procEntry[pi] = l
-	}
-	f.bind(l)
+	// label; bind it rather than orphaning it.
+	f.bind(t.ensureProcLabel(pi))
 
 	// $t0 holds the caller's TNS return address. Push the stack marker
 	// exactly as the interpreter's PCAL does: ret, env, caller L.
@@ -134,7 +130,7 @@ func (t *translator) transControl(addr uint16, in tns.Instr) (bool, error) {
 }
 
 // emitCCBranch emits the branch consuming the current symbolic CC.
-func (t *translator) emitCCBranch(cond uint8, target label) {
+func (t *translator) emitCCBranch(cond uint8, target backend.Label) {
 	s := t.s
 	f := t.f
 	cc := s.cc
@@ -206,7 +202,7 @@ func (t *translator) transCall(addr uint16, in tns.Instr) {
 
 	if in.Ctl == tns.CtlPCAL {
 		pep := int(in.Target)
-		if pep >= len(f.procEntry) {
+		if pep >= len(t.p.file.Procs) {
 			// Bad PEP index: the interpreter will raise the trap.
 			t.emitFallback(addr, obs.EscapeTrap)
 			return
@@ -241,11 +237,13 @@ func (t *translator) procTranslated(pi int) bool {
 }
 
 // ensureProcLabel returns (creating if needed) the prologue label of pi.
-func (t *translator) ensureProcLabel(pi int) label {
-	if t.f.procEntry[pi] == noLabel {
-		t.f.procEntry[pi] = t.f.newLabel()
+func (t *translator) ensureProcLabel(pi int) backend.Label {
+	l, ok := t.f.procEntry[pi]
+	if !ok {
+		l = t.f.newLabel()
+		t.f.procEntry[pi] = l
 	}
-	return t.f.procEntry[pi]
+	return l
 }
 
 // transXCAL translates the indirect call: register-exact, PLabel in $t1,
@@ -299,7 +297,7 @@ func (t *translator) emitDevirt(addr uint16, pl uint8, postRP int) {
 			continue
 		}
 		pep := int(tg.PEP)
-		if pep >= len(f.procEntry) || !t.procTranslated(pep) {
+		if pep >= len(t.p.file.Procs) || !t.procTranslated(pep) {
 			continue
 		}
 		plVal := tg.PEP
@@ -369,7 +367,7 @@ func (t *translator) emitRPCheck(addr uint16, expected uint8) {
 	}
 	f.br(risc.BNE, tr, risc.RegZero, fb)
 	f.nop()
-	t.stats.RPChecks++
+	t.f.stats.RPChecks++
 }
 
 func (t *translator) prevCallAddr(retAddr uint16) uint16 {
@@ -431,7 +429,6 @@ func (t *translator) transCase(addr uint16, in tns.Instr) {
 		target := t.p.file.Code[addr+2+i]
 		f.wordLabel(t.blockLabel(target))
 	}
-	t.stats.TableWords += int(count)
 }
 
 // transSVC translates kernel traps: arguments to $mt/$ra, then SYSCALL.

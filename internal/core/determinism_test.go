@@ -8,6 +8,7 @@ import (
 
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
+	"tnsr/internal/tns"
 	"tnsr/internal/workloads"
 )
 
@@ -88,5 +89,64 @@ func TestParallelDeterminismLevels(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// inlineSched is a FragSched that runs every job in order on the calling
+// goroutine: the fragment path, with no concurrency to blur what it
+// allocates.
+type inlineSched struct{}
+
+func (inlineSched) Run(n int, job func(k int)) {
+	for k := 0; k < n; k++ {
+		job(k)
+	}
+}
+
+// callRing returns a codefile of n two-word procedures, each its own
+// fragment: procedure i is PCAL (i+1) mod 1024 (a PCAL operand holds 10
+// bits) and EXIT 0, so every fragment holds an entry label that another
+// fragment binds.
+func callRing(n int) *codefile.File {
+	f := &codefile.File{Name: "ring", Code: make([]uint16, 2*n),
+		Procs: make([]codefile.Proc, n)}
+	for i := range f.Procs {
+		f.Code[2*i] = tns.EncPCAL(uint16((i + 1) % 1024))
+		f.Code[2*i+1] = tns.EncEXIT(0)
+		f.Procs[i] = codefile.Proc{Name: fmt.Sprint("p", i), Entry: uint16(2 * i)}
+	}
+	return f
+}
+
+// TestFragmentBuffersScale: a fragment's buffers and label tables are sized
+// by the fragment, not by the file's PEP table, and the merge walks only
+// the labels the fragments hold. So translating through fragments
+// allocates about as much per procedure at 8,192 procedures as at 2,048,
+// and emits the bytes of a Workers=1 translation.
+func TestFragmentBuffersScale(t *testing.T) {
+	perProc := map[int]float64{}
+	for _, n := range []int{2048, 8192} {
+		ref := callRing(n)
+		if err := core.Accelerate(ref, core.Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		f := callRing(n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := core.Accelerate(f, core.Options{Sched: inlineSched{}})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := f.Marshal()
+		want, _ := ref.Marshal()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d procedures: fragment translation differs from Workers=1", n)
+		}
+		perProc[n] = float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+		t.Logf("%d procedures: %.0f B allocated per procedure", n, perProc[n])
+	}
+	if r := perProc[8192] / perProc[2048]; r > 1.5 {
+		t.Errorf("bytes per procedure grew %.2fx from 2,048 to 8,192 procedures, want at most 1.5x", r)
 	}
 }

@@ -3,51 +3,36 @@ package core
 import (
 	"fmt"
 
+	"tnsr/internal/backend"
+	"tnsr/internal/codefile"
 	"tnsr/internal/risc"
 )
-
-// label identifies a position in the emitted RISC stream, bound during
-// translation and resolved at layout time.
-type label int32
-
-const noLabel label = -1
-
-// rinst is one emitted RISC instruction (or raw table word) before layout.
-type rinst struct {
-	op      risc.Op
-	rd      uint8
-	rs      uint8
-	rt      uint8
-	shamt   uint8
-	imm     int32
-	lbl     label  // branch target / data-word label reference
-	jTarget uint32 // absolute word index for J/JAL (millicode entries)
-	jLbl    label  // J/JAL to a local label (direct PCAL targets)
-	code    uint32 // BREAK/SYSCALL code
-	isWord  bool   // raw data word: imm literal or (jLbl) code address
-	laLbl   label  // LUI/ORI pair loading CodeWindow+4*(CodeBase+pos(laLbl))
-	hasLA   bool   // laLbl is valid
-	laHi    bool   // this is the LUI half of the pair
-	tnsAddr uint16 // originating TNS address (stats, debug listings)
-	isExact bool   // scheduling barrier: start of an exact point
-}
 
 // pmapPoint records a PMap entry to be resolved at layout.
 type pmapPoint struct {
 	tnsAddr  uint16
-	lbl      label
+	lbl      backend.Label
 	regExact bool
 	rp       int8 // static RP at a register-exact point (-1 elsewhere)
 }
 
-// fn is the per-codefile emission buffer.
+// fn is the emission buffer, the one place a translation's output lives:
+// the translator appends to ins, the scheduler reorders it in place, and
+// finalizeSection hands it to Backend.Encode as it stands.
 type fn struct {
-	ins       []rinst
-	labelPos  []int32 // label -> instruction index; -1 unbound
-	points    []pmapPoint
-	procEntry []label // PEP index -> prologue label (noLabel if untranslated)
-	stats     emitStats
-	curTNS    uint16
+	ins      []backend.Inst
+	labelPos []int32 // label -> instruction index; -1 unbound
+	points   []pmapPoint
+	// procEntry and blockLbl map PEP indexes and TNS block-leader addresses
+	// to labels, holding only the procedures and blocks this buffer binds
+	// or refers to. A label for a procedure or block outside a fragment's
+	// range stays unbound there; the parallel merge resolves it.
+	procEntry map[int]backend.Label
+	blockLbl  map[uint16]backend.Label
+	// stats is the translation's one statistics record: the translator
+	// and scheduler count into it, and finalizeSection completes it.
+	stats  codefile.AccelStats
+	curTNS uint16
 	// pendingExact marks the next emitted instruction as an exact-point
 	// boundary (scheduling barrier).
 	pendingExact bool
@@ -58,26 +43,22 @@ type fn struct {
 	why map[uint16]uint8
 }
 
-type emitStats struct {
-	inline        int // RISC instructions emitted inline (excl. table words)
-	elidedFlagOps int
-}
-
 // newFn makes an emission buffer with room for insCap instructions.
-func newFn(nprocs, insCap int) *fn {
-	f := &fn{ins: make([]rinst, 0, insCap), procEntry: make([]label, nprocs), why: map[uint16]uint8{}}
-	for i := range f.procEntry {
-		f.procEntry[i] = noLabel
+func newFn(insCap int) *fn {
+	return &fn{
+		ins:       make([]backend.Inst, 0, insCap),
+		procEntry: map[int]backend.Label{},
+		blockLbl:  map[uint16]backend.Label{},
+		why:       map[uint16]uint8{},
 	}
-	return f
 }
 
-func (f *fn) newLabel() label {
+func (f *fn) newLabel() backend.Label {
 	f.labelPos = append(f.labelPos, -1)
-	return label(len(f.labelPos) - 1)
+	return backend.Label(len(f.labelPos) - 1)
 }
 
-func (f *fn) bind(l label) {
+func (f *fn) bind(l backend.Label) {
 	if f.labelPos[l] != -1 {
 		panic("core: label bound twice")
 	}
@@ -85,79 +66,85 @@ func (f *fn) bind(l label) {
 }
 
 // bound reports whether l has been bound.
-func (f *fn) bound(l label) bool { return f.labelPos[l] != -1 }
+func (f *fn) bound(l backend.Label) bool { return f.labelPos[l] != -1 }
 
-func (f *fn) add(r rinst) {
-	r.tnsAddr = f.curTNS
+func (f *fn) add(in backend.Inst) {
+	in.TNSAddr = f.curTNS
 	if f.pendingExact {
-		r.isExact = true
+		in.IsExact = true
 		f.pendingExact = false
 	}
-	f.ins = append(f.ins, r)
-	if !r.isWord {
-		f.stats.inline++
+	f.ins = append(f.ins, in)
+	if !in.IsWord {
+		f.stats.RISCInstrs++
 	}
+}
+
+// plain appends an instruction that refers to no label.
+func (f *fn) plain(in backend.Inst) {
+	in.Lbl, in.JLbl = backend.NoLabel, backend.NoLabel
+	f.add(in)
 }
 
 // --- emission helpers -----------------------------------------------------
 
 func (f *fn) alu(op risc.Op, rd, rs, rt uint8) {
-	f.add(rinst{op: op, rd: rd, rs: rs, rt: rt, lbl: noLabel, jLbl: noLabel})
+	f.plain(backend.Inst{Op: op, Rd: rd, Rs: rs, Rt: rt})
 }
 
 func (f *fn) imm(op risc.Op, rt, rs uint8, v int32) {
-	f.add(rinst{op: op, rt: rt, rs: rs, imm: v, lbl: noLabel, jLbl: noLabel})
+	f.plain(backend.Inst{Op: op, Rt: rt, Rs: rs, Imm: v})
 }
 
 func (f *fn) shift(op risc.Op, rd, rt, sh uint8) {
-	f.add(rinst{op: op, rd: rd, rt: rt, shamt: sh, lbl: noLabel, jLbl: noLabel})
+	f.plain(backend.Inst{Op: op, Rd: rd, Rt: rt, Shamt: sh})
 }
 
 func (f *fn) mem(op risc.Op, rt, base uint8, off int32) {
-	f.add(rinst{op: op, rt: rt, rs: base, imm: off, lbl: noLabel, jLbl: noLabel})
+	f.plain(backend.Inst{Op: op, Rt: rt, Rs: base, Imm: off})
 }
 
-func (f *fn) br(op risc.Op, rs, rt uint8, l label) {
-	f.add(rinst{op: op, rs: rs, rt: rt, lbl: l, jLbl: noLabel})
+func (f *fn) br(op risc.Op, rs, rt uint8, l backend.Label) {
+	f.add(backend.Inst{Op: op, Rs: rs, Rt: rt, Lbl: l, JLbl: backend.NoLabel})
 }
 
 func (f *fn) jAbs(op risc.Op, target uint32) {
-	f.add(rinst{op: op, jTarget: target, lbl: noLabel, jLbl: noLabel})
+	f.plain(backend.Inst{Op: op, JTarget: target})
 }
 
-func (f *fn) jLocal(op risc.Op, l label) {
-	f.add(rinst{op: op, lbl: noLabel, jLbl: l})
+func (f *fn) jLocal(op risc.Op, l backend.Label) {
+	f.add(backend.Inst{Op: op, Lbl: backend.NoLabel, JLbl: l})
 }
 
 func (f *fn) jr(rs uint8) {
-	f.add(rinst{op: risc.JR, rs: rs, lbl: noLabel, jLbl: noLabel})
+	f.plain(backend.Inst{Op: risc.JR, Rs: rs})
 }
 
 func (f *fn) brk(code uint32) {
-	f.add(rinst{op: risc.BREAK, code: code, lbl: noLabel, jLbl: noLabel})
+	f.plain(backend.Inst{Op: risc.BREAK, Code: code})
 }
 
 func (f *fn) sys(code uint32) {
-	f.add(rinst{op: risc.SYSCALL, code: code, lbl: noLabel, jLbl: noLabel})
+	f.plain(backend.Inst{Op: risc.SYSCALL, Code: code})
 }
 
 func (f *fn) nop() {
-	f.add(rinst{op: risc.SLL, lbl: noLabel, jLbl: noLabel}) // sll $0,$0,0
+	f.plain(backend.Inst{Op: risc.SLL}) // sll $0,$0,0
 }
 
 func (f *fn) word(v uint32) {
-	f.add(rinst{isWord: true, imm: int32(v), lbl: noLabel, jLbl: noLabel})
+	f.plain(backend.Inst{IsWord: true, Imm: int32(v)})
 }
 
-func (f *fn) wordLabel(l label) {
-	f.add(rinst{isWord: true, jLbl: l, lbl: noLabel})
+func (f *fn) wordLabel(l backend.Label) {
+	f.add(backend.Inst{IsWord: true, Lbl: backend.NoLabel, JLbl: l})
 }
 
 // laCodeWindow loads into reg the data-space address at which the code word
 // labelled l can be read (CodeWindow mapping), resolved at layout.
-func (f *fn) laCodeWindow(reg uint8, l label) {
-	f.add(rinst{op: risc.LUI, rt: reg, laLbl: l, hasLA: true, laHi: true, lbl: noLabel, jLbl: noLabel})
-	f.add(rinst{op: risc.ORI, rt: reg, rs: reg, laLbl: l, hasLA: true, lbl: noLabel, jLbl: noLabel})
+func (f *fn) laCodeWindow(reg uint8, l backend.Label) {
+	f.plain(backend.Inst{Op: risc.LUI, Rt: reg, LALbl: l, HasLA: true, LAHi: true})
+	f.plain(backend.Inst{Op: risc.ORI, Rt: reg, Rs: reg, LALbl: l, HasLA: true})
 }
 
 // li loads a 32-bit constant into reg (1-2 instructions).

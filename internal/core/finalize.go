@@ -7,11 +7,11 @@ import (
 	"tnsr/internal/codefile"
 )
 
-// finalizeSection lays out the emitted stream, hands it to the selected
-// backend for encoding, and builds the PMap, entry table and statistics
-// into the codefile's acceleration section. It consumes the (possibly
-// merged) emission buffer, so it is independent of how many workers
-// produced it.
+// finalizeSection hands the emitted stream to the selected backend for
+// encoding, as it stands in the emission buffer, and builds the PMap, entry
+// table and statistics into the codefile's acceleration section. It
+// consumes the (possibly merged) emission buffer, so it is independent of
+// how many workers produced it.
 //
 // The backend owns the mapping from virtual instruction indexes to target
 // word indexes (Encoded.Pos): on MIPS it is the identity, on a target
@@ -19,34 +19,22 @@ import (
 // them shifts down. Labels, PMap points and entry addresses are all
 // resolved through that mapping, so the analysis side never assumes
 // one-word-per-instruction.
-func finalizeSection(p *program, opts *Options, f *fn,
-	stats codefile.AccelStats) (*codefile.AccelSection, error) {
+func finalizeSection(p *program, opts *Options, f *fn) (*codefile.AccelSection, error) {
 	base := opts.CodeBase
 	labelAt := func(l backend.Label) (int32, error) {
-		if l == backend.Label(noLabel) || int(l) >= len(f.labelPos) ||
-			f.labelPos[l] < 0 {
+		if l < 0 || int(l) >= len(f.labelPos) || f.labelPos[l] < 0 {
 			return 0, fmt.Errorf("core: unresolved label %d", l)
 		}
 		return f.labelPos[l], nil
 	}
 
-	ins := make([]backend.Inst, len(f.ins))
-	for i, r := range f.ins {
-		ins[i] = backend.Inst{
-			Op: r.op, Rd: r.rd, Rs: r.rs, Rt: r.rt, Shamt: r.shamt,
-			Imm: r.imm, Lbl: backend.Label(r.lbl), JTarget: r.jTarget,
-			JLbl: backend.Label(r.jLbl), Code: r.code, IsWord: r.isWord,
-			LALbl: backend.Label(r.laLbl), HasLA: r.hasLA, LAHi: r.laHi,
-			TNSAddr: r.tnsAddr, IsExact: r.isExact,
-		}
-	}
-	enc, err := opts.Backend.Encode(ins, labelAt, base)
+	enc, err := opts.Backend.Encode(f.ins, labelAt, base)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	// Word position of a label: where its instruction index landed.
-	wordPos := func(l label) (int32, error) {
-		p, err := labelAt(backend.Label(l))
+	wordPos := func(l backend.Label) (int32, error) {
+		p, err := labelAt(l)
 		if err != nil {
 			return 0, err
 		}
@@ -74,24 +62,20 @@ func finalizeSection(p *program, opts *Options, f *fn,
 	// by any number of concurrent runners (fleet execution).
 	pm.Seal()
 
-	entries := make([]int32, len(f.procEntry))
-	for i, l := range f.procEntry {
-		if l == noLabel || f.labelPos[l] < 0 {
-			entries[i] = -1
-			continue
+	entries := make([]int32, len(p.file.Procs))
+	for i := range entries {
+		entries[i] = -1
+	}
+	for pi, l := range f.procEntry {
+		if pos := f.labelPos[l]; pos >= 0 {
+			entries[pi] = int32(base) + enc.Pos[pos]
 		}
-		entries[i] = int32(base) + enc.Pos[f.labelPos[l]]
 	}
 
-	instrs, tables := p.countKinds()
-	_ = instrs
-	st := stats
-	st.RISCInstrs = f.stats.inline
-	st.ElidedFlagOps = f.stats.elidedFlagOps
-	st.TableWords = tables
+	_, f.stats.TableWords = p.countKinds()
 	for _, g := range p.guessedProc {
 		if g {
-			st.GuessedProcs++
+			f.stats.GuessedProcs++
 		}
 	}
 
@@ -102,7 +86,7 @@ func finalizeSection(p *program, opts *Options, f *fn,
 		Entries:     entries,
 		ExpectedRP:  expRP,
 		PMap:        pm,
-		Stats:       st,
+		Stats:       f.stats,
 		FallbackWhy: f.why,
 	}, nil
 }

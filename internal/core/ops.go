@@ -192,7 +192,7 @@ func (t *translator) setCCFromConst(c int32) {
 	}
 	if !s.ccLive {
 		s.cc = ccState{kind: ccNone}
-		t.f.stats.elidedFlagOps++
+		t.f.stats.ElidedFlagOps++
 		return
 	}
 	// Load the constant's sign into a register lazily: reuse ccVal with a
@@ -268,7 +268,7 @@ func (t *translator) ccFromResult(r uint8, f fmtKind) {
 	}
 	if !s.ccLive {
 		s.cc = ccState{kind: ccNone}
-		t.f.stats.elidedFlagOps++
+		t.f.stats.ElidedFlagOps++
 		return
 	}
 	switch f {

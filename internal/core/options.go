@@ -63,8 +63,8 @@ type Options struct {
 	// CodeBase is the word index in the RISC code space where this
 	// codefile's translation will be loaded. Leave it 0: the base is a
 	// function of Space (millicode.CodeBase), which is what every loader,
-	// cache and verifier assumes. A nonzero value must equal
-	// millicode.CodeBase(Space); the field remains only because
+	// cache and verifier assumes. Any value other than 0 or
+	// millicode.CodeBase(Space) is an error; the field remains only because
 	// perfbench's paper workloads still spell the library base out.
 	CodeBase uint32
 
@@ -250,8 +250,9 @@ func milliKeyLines(be backend.Backend) []byte {
 }
 
 // withDefaults returns a copy of o with every unset knob filled in, or an
-// error for a code space other than 0 or 1. All entry points default
-// through this copy, so a caller's Options struct is never written to.
+// error for a code space other than 0 or 1 or a code base other than that
+// space's. All entry points default through this copy, so a caller's
+// Options struct is never written to.
 func (o Options) withDefaults() (Options, error) {
 	if o.Space > 1 {
 		return o, fmt.Errorf("core: code space %d (want 0 user or 1 library)", o.Space)
@@ -262,8 +263,11 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Backend == nil {
 		o.Backend = mips.Default
 	}
-	if o.CodeBase == 0 {
-		o.CodeBase = millicode.CodeBase(o.Space)
+	if base := millicode.CodeBase(o.Space); o.CodeBase == 0 {
+		o.CodeBase = base
+	} else if o.CodeBase != base {
+		return o, fmt.Errorf("core: code base %d for code space %d (want 0 or %d)",
+			o.CodeBase, o.Space, base)
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)

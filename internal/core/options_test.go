@@ -6,6 +6,7 @@ import (
 
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
+	"tnsr/internal/millicode"
 	"tnsr/internal/risc"
 	"tnsr/internal/tnsasm"
 	"tnsr/internal/xrun"
@@ -205,21 +206,28 @@ func TestOptionsNotMutated(t *testing.T) {
 	}
 }
 
-// TestCodeSpaceRange: a code space is 0 (user) or 1 (library). Any other
-// value is an error from every entry point, not a section identical to
-// space 0's filed under a cache key of its own.
+// TestCodeSpaceRange: a code space is 0 (user) or 1 (library), and a code
+// base is 0 or its space's millicode.CodeBase, the only base any loader
+// uses. Anything else is an error from every entry point, not a section
+// identical to space 0's, or one that fails Verify at the base it is loaded
+// at, filed under a cache key of its own.
 func TestCodeSpaceRange(t *testing.T) {
-	for _, sp := range []uint8{2, 255} {
-		opts := core.Options{Space: sp}
+	for _, opts := range []core.Options{
+		{Space: 2},
+		{Space: 255},
+		{CodeBase: millicode.UserCodeBase + 4096},
+		{CodeBase: millicode.LibCodeBase},
+		{Space: 1, CodeBase: millicode.UserCodeBase},
+	} {
 		f := tnsasm.MustAssemble("m", hintProg)
 		if err := core.Accelerate(f, opts); err == nil || f.Accel != nil {
-			t.Errorf("Accelerate accepted space %d", sp)
+			t.Errorf("Accelerate accepted space %d, code base %d", opts.Space, opts.CodeBase)
 		}
 		if _, err := core.Analyze(f, opts); err == nil {
-			t.Errorf("Analyze accepted space %d", sp)
+			t.Errorf("Analyze accepted space %d, code base %d", opts.Space, opts.CodeBase)
 		}
 		if _, err := opts.TransKey(f.Fingerprint()); err == nil {
-			t.Errorf("TransKey accepted space %d", sp)
+			t.Errorf("TransKey accepted space %d, code base %d", opts.Space, opts.CodeBase)
 		}
 	}
 }

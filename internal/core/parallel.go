@@ -5,17 +5,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tnsr/internal/codefile"
+	"tnsr/internal/backend"
 )
 
 // The parallel translation pipeline. After the shared analyze/RP/liveness
 // phases, procedure translation fans out to a worker pool: each fragment
-// (one procedure) is translated by a private translator with its own code
-// buffer, label allocator, abstract state, stub queue and statistics, all
-// reading the immutable transCtx. The per-fragment streams are then merged
-// in ascending entry-address order — the order the serial walk emits them —
-// so the merged instruction stream, label positions, PMap points and entry
-// table are byte-identical to a Workers=1 translation.
+// (one procedure) is translated by a private translator into its own
+// emission buffer (code, labels, label tables and statistics), with its own
+// abstract state and stub queue, all reading the immutable transCtx. The
+// per-fragment buffers are then merged in ascending entry-address order —
+// the order the serial walk emits them — so the merged instruction stream,
+// label positions, PMap points, entry table and statistics are
+// byte-identical to a Workers=1 translation.
 //
 // Cross-fragment references exist in exactly two forms, and both are
 // resolved positionally at merge time:
@@ -27,26 +28,17 @@ import (
 //   - block labels: a branch or CASE table entry can target a block in
 //     another procedure. Same scheme, keyed by TNS address.
 //
-// A label that resolves nowhere (a call into a procedure that was never
-// emitted) stays unbound and fails in finalize, exactly as it does serially.
-
-// fragResult is one fragment's private output.
-type fragResult struct {
-	f        *fn
-	blockLbl map[uint16]label
-	stats    codefile.AccelStats
-	// pendingExact records a PMap point added after the fragment's last
-	// emitted instruction: the serial walk would flag the next emitted
-	// instruction (in a later procedure) as an exact-point scheduling
-	// barrier, so the merge must carry it across the fragment boundary.
-	pendingExact bool
-}
+// A buffer's label tables hold only the procedures and blocks it binds or
+// refers to, so the merge is linear in the labels the fragments hold, not
+// in fragments times PEP rows. A label that resolves nowhere (a call into a
+// procedure that was never emitted) stays unbound and fails in finalize,
+// exactly as it does serially.
 
 // translate runs the translation phase of Accelerate: serially for
 // Workers=1 (or a single procedure), through a fragment scheduler otherwise
 // — the private worker pool by default, opts.Sched when attached. Every
-// path returns the same emission buffer and statistics.
-func translate(p *program, opts *Options) (*fn, codefile.AccelStats, error) {
+// path returns the same emission buffer.
+func translate(p *program, opts *Options) (*fn, error) {
 	ctx := newTransCtx(p, opts)
 	frags := ctx.fragments()
 	if opts.Sched == nil && (opts.Workers <= 1 || len(frags) <= 1) {
@@ -54,11 +46,11 @@ func translate(p *program, opts *Options) (*fn, codefile.AccelStats, error) {
 		if opts.Obs != nil {
 			t0 = time.Now()
 		}
-		f, stats, err := translateSerial(ctx, frags)
+		f, err := translateSerial(ctx, frags)
 		if opts.Obs != nil {
 			opts.Obs.Phase("translate", time.Since(t0))
 		}
-		return f, stats, err
+		return f, err
 	}
 	sched := opts.Sched
 	if sched == nil {
@@ -73,14 +65,14 @@ func translate(p *program, opts *Options) (*fn, codefile.AccelStats, error) {
 
 // translateSerial walks the fragments in order with one translator sharing
 // one buffer — the reference pipeline the parallel merge must reproduce.
-func translateSerial(ctx *transCtx, frags []fragment) (*fn, codefile.AccelStats, error) {
+func translateSerial(ctx *transCtx, frags []fragment) (*fn, error) {
 	t := newTranslator(ctx, frags...)
 	for _, fr := range frags {
 		if err := t.translateRange(fr); err != nil {
-			return nil, codefile.AccelStats{}, err
+			return nil, err
 		}
 	}
-	return t.f, t.stats, nil
+	return t.f, nil
 }
 
 // poolSched is the default FragSched: a private pool of workers goroutines
@@ -117,8 +109,8 @@ func (p poolSched) Run(n int, job func(k int)) {
 // in fragment order. Which worker (or whose queue) ran each job is invisible
 // here: results are indexed by fragment, so the merge — and therefore the
 // emitted section — is byte-identical under any scheduler.
-func translateSched(ctx *transCtx, frags []fragment, sched FragSched) (*fn, codefile.AccelStats, error) {
-	results := make([]*fragResult, len(frags))
+func translateSched(ctx *transCtx, frags []fragment, sched FragSched) (*fn, error) {
+	results := make([]*fn, len(frags))
 	errs := make([]error, len(frags))
 	var t0 time.Time
 	if ctx.opts.Obs != nil {
@@ -130,12 +122,7 @@ func translateSched(ctx *transCtx, frags []fragment, sched FragSched) (*fn, code
 			errs[k] = err
 			return
 		}
-		results[k] = &fragResult{
-			f:            tr.f,
-			blockLbl:     tr.blockLbl,
-			stats:        tr.stats,
-			pendingExact: tr.f.pendingExact,
-		}
+		results[k] = tr.f
 	})
 	if ctx.opts.Obs != nil {
 		now := time.Now()
@@ -145,122 +132,105 @@ func translateSched(ctx *transCtx, frags []fragment, sched FragSched) (*fn, code
 	// Report the first error in fragment order, deterministically.
 	for _, err := range errs {
 		if err != nil {
-			return nil, codefile.AccelStats{}, err
+			return nil, err
 		}
 	}
-	f, stats, err := mergeFragments(ctx, results)
+	f := mergeFragments(results)
 	if ctx.opts.Obs != nil {
 		ctx.opts.Obs.Phase("merge", time.Since(t0))
 	}
-	return f, stats, err
+	return f, nil
 }
 
-// mergeFragments concatenates the per-fragment streams and resolves
+// mergeFragments concatenates the per-fragment buffers and resolves
 // cross-fragment labels. Only positions matter downstream (scheduling,
 // layout and encoding never inspect label identities), so remapping each
 // fragment's labels by a fixed offset and then aliasing unbound references
 // onto their owners' positions reproduces the serial result exactly.
-func mergeFragments(ctx *transCtx, results []*fragResult) (*fn, codefile.AccelStats, error) {
+func mergeFragments(frags []*fn) *fn {
 	var nins, nlabels, npoints int
-	for _, r := range results {
-		nins += len(r.f.ins)
-		nlabels += len(r.f.labelPos)
-		npoints += len(r.f.points)
+	for _, r := range frags {
+		nins += len(r.ins)
+		nlabels += len(r.labelPos)
+		npoints += len(r.points)
 	}
-	merged := newFn(len(ctx.p.file.Procs), nins)
+	merged := newFn(nins)
 	merged.labelPos = make([]int32, 0, nlabels)
 	merged.points = make([]pmapPoint, 0, npoints)
-	var stats codefile.AccelStats
 
-	insOff := make([]int, len(results))
-	lblOff := make([]int, len(results))
-	carryExact := false
-	for k, r := range results {
-		insOff[k] = len(merged.ins)
-		lblOff[k] = len(merged.labelPos)
-		for i, ri := range r.f.ins {
-			if ri.lbl != noLabel {
-				ri.lbl += label(lblOff[k])
+	lblOff := make([]backend.Label, len(frags))
+	for k, r := range frags {
+		insOff := len(merged.ins)
+		off := backend.Label(len(merged.labelPos))
+		lblOff[k] = off
+		merged.ins = append(merged.ins, r.ins...)
+		for i := insOff; i < len(merged.ins); i++ {
+			in := &merged.ins[i]
+			if in.Lbl != backend.NoLabel {
+				in.Lbl += off
 			}
-			if ri.jLbl != noLabel {
-				ri.jLbl += label(lblOff[k])
+			if in.JLbl != backend.NoLabel {
+				in.JLbl += off
 			}
-			if ri.hasLA {
-				ri.laLbl += label(lblOff[k])
+			if in.HasLA {
+				in.LALbl += off
 			}
-			if i == 0 && carryExact {
-				ri.isExact = true
-				carryExact = false
-			}
-			merged.ins = append(merged.ins, ri)
 		}
-		if len(r.f.ins) > 0 {
-			carryExact = r.pendingExact
-		} else {
-			carryExact = carryExact || r.pendingExact
+		// A PMap point added after a fragment's last instruction flags the
+		// next instruction emitted, which the serial walk emits in a later
+		// procedure: carry the flag across the fragment boundary.
+		if merged.pendingExact && len(r.ins) > 0 {
+			merged.ins[insOff].IsExact = true
+			merged.pendingExact = false
 		}
-		for _, lp := range r.f.labelPos {
+		merged.pendingExact = merged.pendingExact || r.pendingExact
+		for _, lp := range r.labelPos {
 			if lp >= 0 {
-				lp += int32(insOff[k])
+				lp += int32(insOff)
 			}
 			merged.labelPos = append(merged.labelPos, lp)
 		}
-		for _, pt := range r.f.points {
-			pt.lbl += label(lblOff[k])
+		for _, pt := range r.points {
+			pt.lbl += off
 			merged.points = append(merged.points, pt)
 		}
 		// Fallback reasons: fragment address ranges are disjoint, so this
 		// union is order-independent.
-		for addr, w := range r.f.why {
+		for addr, w := range r.why {
 			merged.why[addr] = w
 		}
-		merged.stats.inline += r.f.stats.inline
-		merged.stats.elidedFlagOps += r.f.stats.elidedFlagOps
-		stats.TNSInstrs += r.stats.TNSInstrs
-		stats.TableWords += r.stats.TableWords
-		stats.RPChecks += r.stats.RPChecks
-		stats.PuzzlePoints += r.stats.PuzzlePoints
+		st := &merged.stats
+		st.TNSInstrs += r.stats.TNSInstrs
+		st.RISCInstrs += r.stats.RISCInstrs
+		st.RPChecks += r.stats.RPChecks
+		st.PuzzlePoints += r.stats.PuzzlePoints
+		st.ElidedFlagOps += r.stats.ElidedFlagOps
 	}
 
-	// Procedure entries: the owner fragment bound its prologue label; every
-	// other fragment's entry for the same PEP index is an unbound alias.
-	for k, r := range results {
-		for pi, l := range r.f.procEntry {
-			if l != noLabel && r.f.labelPos[l] >= 0 {
-				merged.procEntry[pi] = l + label(lblOff[k])
-			}
-		}
-	}
-	for k, r := range results {
-		for pi, l := range r.f.procEntry {
-			if l == noLabel || r.f.labelPos[l] >= 0 {
-				continue
-			}
-			if owner := merged.procEntry[pi]; owner != noLabel {
-				merged.labelPos[int(l)+lblOff[k]] = merged.labelPos[owner]
-			}
-		}
-	}
+	resolveAliases(merged, frags, lblOff, func(f *fn) map[int]backend.Label { return f.procEntry })
+	resolveAliases(merged, frags, lblOff, func(f *fn) map[uint16]backend.Label { return f.blockLbl })
+	return merged
+}
 
-	// Block labels: bind each fragment's unresolved targets to the position
-	// where the owning fragment bound that TNS address.
-	bound := map[uint16]int32{}
-	for k, r := range results {
-		for addr, l := range r.blockLbl {
-			if r.f.labelPos[l] >= 0 {
-				bound[addr] = r.f.labelPos[l] + int32(insOff[k])
+// resolveAliases merges one label table (procedure entries or block
+// leaders): the fragment that bound a key's label owns it, and every other
+// fragment's label for that key is an unbound alias, pointed here at the
+// owner's position in merged. lblOff is each fragment's label offset.
+func resolveAliases[K comparable](merged *fn, frags []*fn, lblOff []backend.Label,
+	table func(*fn) map[K]backend.Label) {
+	owners := table(merged)
+	for k, r := range frags {
+		for key, l := range table(r) {
+			if r.labelPos[l] >= 0 {
+				owners[key] = l + lblOff[k]
 			}
 		}
 	}
-	for k, r := range results {
-		for addr, l := range r.blockLbl {
-			if r.f.labelPos[l] >= 0 {
-				continue
-			}
-			if pos, ok := bound[addr]; ok {
-				merged.labelPos[int(l)+lblOff[k]] = pos
+	for k, r := range frags {
+		for key, l := range table(r) {
+			if owner, ok := owners[key]; ok && r.labelPos[l] < 0 {
+				merged.labelPos[l+lblOff[k]] = merged.labelPos[owner]
 			}
 		}
 	}
-	return merged, stats, nil
 }

@@ -1,6 +1,10 @@
 package core
 
-import "tnsr/internal/risc"
+import (
+	"tnsr/internal/backend"
+	"tnsr/internal/codefile"
+	"tnsr/internal/risc"
+)
 
 // The Accelerator's final phase, per the paper: reorder RISC instructions
 // within each basic block to fill delay slots, eliminate NOPs, and reduce
@@ -9,114 +13,88 @@ import "tnsr/internal/risc"
 // store that moves into the delay slot of a following branch "welds" two
 // TNS statements together, which the debugger reports.
 
-type schedStats struct {
-	filledSlots int
-	welded      int
-}
-
-// schedule optimizes f.ins in place and remaps label positions.
-func schedule(f *fn) schedStats {
-	var st schedStats
-	labeled := make([]bool, len(f.ins)+1)
+// schedule optimizes f.ins in place and remaps label positions. Each
+// block is rescheduled where it stands and then moved down over the nops
+// earlier blocks dropped: blocks only shrink, so the write index never
+// passes the read index, and every bound label starts a block, so a label
+// moves with its block's first instruction.
+func schedule(f *fn) {
+	n := len(f.ins)
+	// newPos[i] is -1 unless a label is bound at instruction i (or at the
+	// end of the stream, i == n) or a placed block starts there; then it
+	// is that instruction's new index.
+	newPos := make([]int32, n+1)
+	for i := range newPos {
+		newPos[i] = -1
+	}
 	for _, pos := range f.labelPos {
-		if pos >= 0 && int(pos) <= len(f.ins) {
-			labeled[pos] = true
+		if pos >= 0 {
+			newPos[pos] = 0
 		}
 	}
+	barrier := func(i int) bool { return i == n || newPos[i] >= 0 || f.ins[i].IsExact }
 
-	// Scheduling only drops nops, so out never outgrows f.ins; each block
-	// is built in one reused buffer and copied out when it is flushed.
-	out := make([]rinst, 0, len(f.ins))
-	remap := make([]int32, len(f.ins)+1)
-	flushBlock := func(start int, blk []rinst) []rinst {
-		blk = fillDelaySlot(blk, &st)
-		blk = avoidLoadUse(blk)
-		for k := range blk {
-			remap[start+k] = -1 // positions within a block are fluid
-		}
-		remap[start] = int32(len(out))
-		return append(out, blk...)
-	}
-
-	blockStart := 0
-	var blk []rinst
-	for i := 0; i < len(f.ins); i++ {
-		r := f.ins[i]
-		if (labeled[i] || r.isExact) && len(blk) > 0 {
-			out = flushBlock(blockStart, blk)
-			blk, blockStart = blk[:0], i
-		}
-		if len(blk) == 0 {
-			blockStart = i
-		}
-		blk = append(blk, r)
-		// A control transfer plus its delay slot ends the block.
-		if r.op.HasDelaySlot() && !r.isWord {
-			// The next instruction is the delay slot: include it.
-			if i+1 < len(f.ins) && !labeled[i+1] && !f.ins[i+1].isExact {
-				blk = append(blk, f.ins[i+1])
-				i++
-			}
-			out = flushBlock(blockStart, blk)
-			blk, blockStart = blk[:0], i+1
-		}
-	}
-	if len(blk) > 0 {
-		out = flushBlock(blockStart, blk)
-	}
-	remap[len(f.ins)] = int32(len(out))
-
-	// Remap labels. Every bound label points at a block start (or the end).
-	for li, pos := range f.labelPos {
-		if pos < 0 {
-			continue
-		}
-		np := remap[pos]
-		if np < 0 {
-			// The label landed mid-block, which the emitter never does
-			// for reachable labels; keep a safe fallback.
-			for p := pos; p >= 0; p-- {
-				if remap[p] >= 0 {
-					np = remap[p]
-					break
+	w := 0
+	for start := 0; start < n; {
+		// The block runs to the next barrier, or through a control
+		// transfer and its delay slot (unless the slot is a barrier).
+		end := start
+		for {
+			in := f.ins[end]
+			end++
+			if in.Op.HasDelaySlot() && !in.IsWord {
+				if !barrier(end) {
+					end++
 				}
+				break
+			}
+			if barrier(end) {
+				break
 			}
 		}
-		f.labelPos[li] = np
+		blk := avoidLoadUse(fillDelaySlot(f.ins[start:end], &f.stats))
+		newPos[start] = int32(w)
+		w += copy(f.ins[w:], blk)
+		start = end
 	}
-	f.ins = out
-	return st
+	newPos[n] = int32(w)
+	for li, pos := range f.labelPos {
+		if pos >= 0 {
+			f.labelPos[li] = newPos[pos]
+		}
+	}
+	f.ins = f.ins[:w]
 }
 
 // movable reports whether r may be reordered within its block at all.
-func movable(r rinst) bool {
-	if r.isWord || r.isExact || r.hasLA {
+func movable(r backend.Inst) bool {
+	if r.IsWord || r.IsExact || r.HasLA {
 		return false
 	}
-	switch r.op {
+	switch r.Op {
 	case risc.BREAK, risc.SYSCALL, risc.MULT, risc.MULTU, risc.DIV,
 		risc.DIVU, risc.MFHI, risc.MFLO:
 		return false
 	}
-	if r.op.HasDelaySlot() {
+	if r.Op.HasDelaySlot() {
 		return false
 	}
 	return true
 }
 
-func isMem(r rinst) bool { return r.op.IsLoad() || r.op.IsStore() }
+func isMem(r backend.Inst) bool { return r.Op.IsLoad() || r.Op.IsStore() }
 
 // independent reports whether a and b can swap order.
-func independent(a, b rinst) bool {
-	da := a.toInstr().Def()
-	db := b.toInstr().Def()
+func independent(a, b backend.Inst) bool {
+	da := toInstr(a).Def()
+	db := toInstr(b).Def()
 	// Write-write.
 	if da >= 0 && da == db {
 		return false
 	}
 	// a writes something b reads.
 	if da > 0 {
-		for _, u := range b.toInstr().Uses(nil) {
+		for _, u := range toInstr(b).Uses(nil) {
 			if int(u) == da {
 				return false
 			}
@@ -124,7 +102,7 @@ func independent(a, b rinst) bool {
 	}
 	// b writes something a reads.
 	if db > 0 {
-		for _, u := range a.toInstr().Uses(nil) {
+		for _, u := range toInstr(a).Uses(nil) {
 			if int(u) == db {
 				return false
 			}
@@ -132,40 +110,41 @@ func independent(a, b rinst) bool {
 	}
 	// Memory ordering: never reorder two memory operations if either
 	// stores (stores keep their exact sequence; loads may pass loads).
-	if isMem(a) && isMem(b) && (a.op.IsStore() || b.op.IsStore()) {
+	if isMem(a) && isMem(b) && (a.Op.IsStore() || b.Op.IsStore()) {
 		return false
 	}
 	return true
 }
 
-// toInstr views an rinst as a decoded risc.Instr for def/use queries.
-func (r rinst) toInstr() risc.Instr {
-	return risc.Instr{Op: r.op, Rs: r.rs, Rt: r.rt, Rd: r.rd, Shamt: r.shamt}
+// toInstr views a virtual instruction as a decoded risc.Instr for def/use
+// queries.
+func toInstr(r backend.Inst) risc.Instr {
+	return risc.Instr{Op: r.Op, Rs: r.Rs, Rt: r.Rt, Rd: r.Rd, Shamt: r.Shamt}
 }
 
 // fillDelaySlot replaces [..., I, B, nop] with [..., B, I] when I is
 // independent of the branch, in place.
-func fillDelaySlot(blk []rinst, st *schedStats) []rinst {
+func fillDelaySlot(blk []backend.Inst, st *codefile.AccelStats) []backend.Inst {
 	n := len(blk)
 	if n < 3 {
 		return blk
 	}
 	b := blk[n-2]
 	slot := blk[n-1]
-	if !b.op.HasDelaySlot() || b.isWord {
+	if !b.Op.HasDelaySlot() || b.IsWord {
 		return blk
 	}
-	if !(slot.op == risc.SLL && slot.rd == 0 && slot.rt == 0 && !slot.isWord) {
+	if !(slot.Op == risc.SLL && slot.Rd == 0 && slot.Rt == 0 && !slot.IsWord) {
 		return blk // the delay slot is already useful
 	}
 	cand := blk[n-3]
-	if !movable(cand) || cand.isExact {
+	if !movable(cand) || cand.IsExact {
 		return blk
 	}
 	// The branch must not depend on the candidate's result, and the
 	// candidate must not clobber the branch's sources (JAL defines $ra).
-	bi := b.toInstr()
-	ci := cand.toInstr()
+	bi := toInstr(b)
+	ci := toInstr(cand)
 	cd := ci.Def()
 	if cd >= 0 {
 		for _, u := range bi.Uses(nil) {
@@ -187,30 +166,30 @@ func fillDelaySlot(blk []rinst, st *schedStats) []rinst {
 	}
 	// Perform the move: drop the nop, swap candidate behind the branch.
 	blk[n-3], blk[n-2] = b, cand
-	st.filledSlots++
-	if cand.op.IsStore() && cand.tnsAddr != b.tnsAddr {
-		st.welded++
+	st.FilledSlots++
+	if cand.Op.IsStore() && cand.TNSAddr != b.TNSAddr {
+		st.WeldedStmts++
 	}
 	return blk[:n-1]
 }
 
 // avoidLoadUse breaks load-use pairs by hoisting a later independent
 // instruction between them.
-func avoidLoadUse(blk []rinst) []rinst {
+func avoidLoadUse(blk []backend.Inst) []backend.Inst {
 	for i := 0; i+2 < len(blk); i++ {
 		ld := blk[i]
-		if !ld.op.IsLoad() {
+		if !ld.Op.IsLoad() {
 			continue
 		}
 		use := blk[i+1]
-		if use.op.HasDelaySlot() || use.isWord {
+		if use.Op.HasDelaySlot() || use.IsWord {
 			// Never disturb a control transfer's pairing with its delay
 			// slot.
 			continue
 		}
 		usesLoaded := false
-		for _, u := range use.toInstr().Uses(nil) {
-			if u == ld.rt {
+		for _, u := range toInstr(use).Uses(nil) {
+			if u == ld.Rt {
 				usesLoaded = true
 			}
 		}
@@ -218,7 +197,7 @@ func avoidLoadUse(blk []rinst) []rinst {
 			continue
 		}
 		x := blk[i+2]
-		if !movable(x) || x.isExact {
+		if !movable(x) || x.IsExact {
 			continue
 		}
 		// x must be independent of both the load and the consumer.

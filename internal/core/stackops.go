@@ -334,9 +334,9 @@ func (t *translator) transMPY(addr uint16) {
 	s.pin(bR)
 	s.popDesc()
 	s.popDesc()
-	f.add(rinst{op: risc.MULT, rs: aR, rt: bR, lbl: noLabel, jLbl: noLabel})
+	f.alu(risc.MULT, 0, aR, bR)
 	r := s.allocTemp()
-	f.add(rinst{op: risc.MFLO, rd: r, lbl: noLabel, jLbl: noLabel})
+	f.alu(risc.MFLO, r, 0, 0)
 	if t.trapsChecked() {
 		// The full product of 16-bit operands is exact in 32 bits (the
 		// operands must be sign-correct for that, so normalize them).
@@ -468,13 +468,13 @@ func (t *translator) transDIV(addr uint16, mod bool, wide bool) {
 		f.bind(skip)
 		f.bind(back)
 	}
-	f.add(rinst{op: risc.DIV, rs: aR, rt: bR, lbl: noLabel, jLbl: noLabel})
+	f.alu(risc.DIV, 0, aR, bR)
 	r := s.allocTemp()
 	op := risc.MFLO
 	if mod {
 		op = risc.MFHI
 	}
-	f.add(rinst{op: op, rd: r, lbl: noLabel, jLbl: noLabel})
+	f.alu(op, r, 0, 0)
 	if wide {
 		s.pushPair(slotDesc{kind: lReg, reg: r, fmt: fPAIR})
 		s.setCCFromValue(r)
@@ -550,7 +550,7 @@ func (t *translator) setCCFromConst32(c int32) {
 	s := t.s
 	if !s.ccLive {
 		s.cc = ccState{kind: ccNone}
-		t.f.stats.elidedFlagOps++
+		t.f.stats.ElidedFlagOps++
 		return
 	}
 	if c == 0 {
@@ -571,9 +571,9 @@ func (t *translator) transDMPY(addr uint16) {
 	ad := t.popPairPinned()
 	aR := t.pairReg(ad)
 	s.pin(aR)
-	f.add(rinst{op: risc.MULT, rs: aR, rt: bR, lbl: noLabel, jLbl: noLabel})
+	f.alu(risc.MULT, 0, aR, bR)
 	r := s.allocTemp()
-	f.add(rinst{op: risc.MFLO, rd: r, lbl: noLabel, jLbl: noLabel})
+	f.alu(risc.MFLO, r, 0, 0)
 	if t.trapsChecked() {
 		// Overflow iff HI is not the sign extension of LO.
 		back := f.newLabel()
@@ -581,7 +581,7 @@ func (t *translator) transDMPY(addr uint16) {
 		s.pin(r)
 		h := s.allocTemp()
 		s.pin(h)
-		f.add(rinst{op: risc.MFHI, rd: h, lbl: noLabel, jLbl: noLabel})
+		f.alu(risc.MFHI, h, 0, 0)
 		tr := s.allocTemp()
 		f.shift(risc.SRA, tr, r, 31)
 		f.br(risc.BNE, h, tr, ovf)

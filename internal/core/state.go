@@ -482,7 +482,7 @@ func (s *state) setCCFromValue(reg uint8) {
 	}
 	if !s.ccLive {
 		s.cc = ccState{kind: ccNone}
-		s.f.stats.elidedFlagOps++
+		s.f.stats.ElidedFlagOps++
 		return
 	}
 	s.cc = ccState{kind: ccVal, a: reg, b: reg}
@@ -497,7 +497,7 @@ func (s *state) setCCFromCmp(a, b uint8, unsigned bool) {
 	}
 	if !s.ccLive {
 		s.cc = ccState{kind: ccNone}
-		s.f.stats.elidedFlagOps++
+		s.f.stats.ElidedFlagOps++
 		return
 	}
 	s.cc = ccState{kind: ccCmp, a: a, b: b, unsigned: unsigned}

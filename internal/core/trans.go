@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"tnsr/internal/backend"
 	"tnsr/internal/codefile"
 	"tnsr/internal/millicode"
 	"tnsr/internal/obs"
@@ -78,8 +79,8 @@ func (c *transCtx) computePreds() {
 // translator emits RISC code for one address range of the analyzed program
 // (in the parallel pipeline, one procedure per fragment). It walks addresses
 // in ascending order, which keeps the PMap monotonic. All mutable state —
-// the emission buffer, the abstract machine state, the block-label table,
-// the queued stubs and the statistics — is private to the translator, so
+// the emission buffer (with its label tables and statistics), the abstract
+// machine state and the queued stubs — is private to the translator, so
 // translators for different fragments never share anything but the
 // read-only transCtx.
 type translator struct {
@@ -89,29 +90,16 @@ type translator struct {
 	s    *state
 	opts *Options
 
-	// blockLbl maps TNS block-leader addresses to labels. Labels for
-	// addresses outside this translator's range stay unbound and are
-	// resolved positionally when fragments are merged.
-	blockLbl map[uint16]label
-
 	// stubs queued for emission between procedures (fallback shims, RP
 	// check failures, overflow and divide traps).
 	stubs []stub
-
-	stats codefile.AccelStats
 }
 
 // newTranslator creates a translator with fresh state and a code buffer
 // with room for what frags are expected to emit (insEstimate).
 func newTranslator(ctx *transCtx, frags ...fragment) *translator {
-	f := newFn(len(ctx.p.file.Procs), insEstimate(frags))
-	t := &translator{
-		ctx:      ctx,
-		p:        ctx.p,
-		f:        f,
-		opts:     ctx.opts,
-		blockLbl: map[uint16]label{},
-	}
+	f := newFn(insEstimate(frags))
+	t := &translator{ctx: ctx, p: ctx.p, f: f, opts: ctx.opts}
 	t.s = newState(f, ctx.p)
 	t.s.noCSE = ctx.opts.DisableCSE
 	t.s.alwaysCC = ctx.opts.DisableFlagElision
@@ -119,11 +107,11 @@ func newTranslator(ctx *transCtx, frags ...fragment) *translator {
 }
 
 type stub struct {
-	lbl     label
+	lbl     backend.Label
 	kind    uint8 // 'f' fallback, 't' trap
 	tnsAddr uint16
 	trap    int
-	back    label // for overflow continue-path stubs; noLabel otherwise
+	back    backend.Label // for overflow continue-path stubs; NoLabel otherwise
 }
 
 // trapsChecked reports whether overflow checks are emitted.
@@ -149,12 +137,12 @@ func (t *translator) hwTrapOK() bool {
 	return t.p.trapsPossible && !t.p.trapsDynamic
 }
 
-func (t *translator) blockLabel(a uint16) label {
-	if l, ok := t.blockLbl[a]; ok {
+func (t *translator) blockLabel(a uint16) backend.Label {
+	if l, ok := t.f.blockLbl[a]; ok {
 		return l
 	}
 	l := t.f.newLabel()
-	t.blockLbl[a] = l
+	t.f.blockLbl[a] = l
 	return l
 }
 
@@ -263,7 +251,7 @@ func (t *translator) translateRange(frag fragment) error {
 
 			// Puzzle leaders fall straight into interpreter mode.
 			if why, bad := t.p.puzzle[addr]; bad {
-				t.stats.PuzzlePoints++
+				t.f.stats.PuzzlePoints++
 				t.emitFallback(addr, puzzleReason(why))
 				fallthrough_ = false
 				continue
@@ -281,7 +269,7 @@ func (t *translator) translateRange(frag fragment) error {
 				// propagateRP, which would have made it a puzzle
 				// otherwise.
 				if !(in.Major == tns.MajSpecial && in.Sub == tns.SubSETRP) {
-					t.stats.PuzzlePoints++
+					t.f.stats.PuzzlePoints++
 					t.emitFallback(addr, obs.EscapeComputedJump)
 					fallthrough_ = false
 					continue
@@ -337,7 +325,7 @@ func (t *translator) translateRange(frag fragment) error {
 		if in.Major == tns.MajSpecial && in.Sub == tns.SubCASE {
 			a = int(t.p.instrEnd(addr)) - 1 // skip the inline table
 		}
-		t.stats.TNSInstrs++
+		t.f.stats.TNSInstrs++
 	}
 
 	// End of the procedure: flush its stubs. The serial walk flushed them on
@@ -444,24 +432,24 @@ func (t *translator) emitFallback(addr uint16, reason obs.EscapeReason) {
 
 // queueFallbackStub creates an out-of-line fallback stub for addr and
 // returns its label (branch there on a failed run-time check).
-func (t *translator) queueFallbackStub(addr uint16, reason obs.EscapeReason) label {
+func (t *translator) queueFallbackStub(addr uint16, reason obs.EscapeReason) backend.Label {
 	t.noteFallback(addr, reason)
 	l := t.f.newLabel()
-	t.stubs = append(t.stubs, stub{lbl: l, kind: 'f', tnsAddr: addr, back: noLabel})
+	t.stubs = append(t.stubs, stub{lbl: l, kind: 'f', tnsAddr: addr, back: backend.NoLabel})
 	return l
 }
 
 // queueTrapStub creates a stub raising a TNS trap.
-func (t *translator) queueTrapStub(addr uint16, trap int) label {
+func (t *translator) queueTrapStub(addr uint16, trap int) backend.Label {
 	l := t.f.newLabel()
-	t.stubs = append(t.stubs, stub{lbl: l, kind: 't', tnsAddr: addr, trap: trap, back: noLabel})
+	t.stubs = append(t.stubs, stub{lbl: l, kind: 't', tnsAddr: addr, trap: trap, back: backend.NoLabel})
 	return l
 }
 
 // queueOvfStub creates the overflow stub: trap if ENV.T is set, otherwise
 // resume at back (the V flag is architecturally unobservable except via the
 // trap, so nothing else need happen).
-func (t *translator) queueOvfStub(addr uint16, back label) label {
+func (t *translator) queueOvfStub(addr uint16, back backend.Label) backend.Label {
 	l := t.f.newLabel()
 	t.stubs = append(t.stubs, stub{lbl: l, kind: 'o', tnsAddr: addr, trap: tns.TrapOverflow, back: back})
 	return l
